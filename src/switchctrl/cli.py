@@ -141,8 +141,7 @@ def cmd_simulate(args) -> int:
         _write_output(buf.getvalue(), args.out)
         return 0
     est = estimate_terminal_msq(system, x0, policy, args.T, args.paths,
-                                args.seed, args.dt, start_mode=start,
-                                n_workers=args.workers)
+                                args.seed, args.dt, start_mode=start)
     summary = {
         "command": "simulate",
         "tool_version": __version__,
@@ -300,11 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=8, help="restart count (min-energy)")
     p.add_argument("--paths", type=int, default=1)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--start-mode", default=None, help="initial mode id")
-    p.add_argument("--format", choices=["json", "csv"], default=None,
-                   help="(informational; single paths write csv, "
-                   "aggregates write json)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("riccati", help="penalty Riccati study of kernel viability")

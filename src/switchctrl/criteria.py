@@ -131,21 +131,32 @@ def unobservable_subspace(M, Bstar, rank_tol: float = DEFAULT_RANK_TOL) -> Subsp
     return _observability_chain(M, Bstar, rank_tol)[-1]
 
 
+def _decreasing_chain(step, V: Subspace) -> tuple[Subspace, ...]:
+    """Chain ``V, step(V), step(step(V)), ...`` up to the first step that
+    keeps the dimension; that stabilized repeat ends the chain.
+
+    ``step`` must map a subspace into itself, so the chain decreases and
+    stalls within ``ambient_dim + 1`` steps.
+    """
+    chain = [V]
+    for _ in range(V.ambient_dim + 1):
+        W = step(V)
+        chain.append(W)
+        if W.dim == V.dim:
+            break
+        V = W
+    return tuple(chain)
+
+
 def invariant_fixpoint(M, seed: Subspace, rank_tol: float = DEFAULT_RANK_TOL):
     """Largest M-invariant subspace of ``seed`` by decreasing iteration.
 
     Independent route to :func:`unobservable_subspace` when seeded at
     ``ker(Bstar)``; kept separate so the two can cross-check each other.
     """
-    V = seed
-    chain = [V]
-    for _ in range(seed.ambient_dim + 1):
-        W = V.intersect(preimage(M, V, rank_tol), rank_tol)
-        chain.append(W)
-        if W.dim == V.dim:
-            break
-        V = W
-    return chain[-1], tuple(chain)
+    chain = _decreasing_chain(
+        lambda V: V.intersect(preimage(M, V, rank_tol), rank_tol), seed)
+    return chain[-1], chain
 
 
 def accessible_modes(system: SwitchSystem, start: int, k: int) -> frozenset[int]:
@@ -156,11 +167,7 @@ def accessible_modes(system: SwitchSystem, start: int, k: int) -> frozenset[int]
     acc = {start}
     frontier = {start}
     for _ in range(k):
-        frontier = {
-            int(j)
-            for i in frontier
-            for j in np.flatnonzero(system.Q[i] > 1e-12)
-        }
+        frontier = {j for i in frontier for j in system.support(i)}
         if frontier <= acc:
             # a stalled union can never grow again
             break
@@ -184,9 +191,7 @@ def strict_invariant_fixpoint(
     fixed point in at most ``dim(seed)`` strict steps; the returned chain
     ends with the stabilized repeat.
     """
-    V = seed
-    chain = [V]
-    for _ in range(seed.ambient_dim + 1):
+    def step(V: Subspace) -> Subspace:
         W = V
         for Astar, cstars in generators:
             target = V
@@ -196,11 +201,10 @@ def strict_invariant_fixpoint(
                     target = orthonormalize(np.hstack([V.basis] + cols), rank_tol)
             W = W.intersect(preimage(np.asarray(Astar, float), target, rank_tol),
                             rank_tol)
-        chain.append(W)
-        if W.dim == V.dim:
-            break
-        V = W
-    return chain[-1], tuple(chain)
+        return W
+
+    chain = _decreasing_chain(step, seed)
+    return chain[-1], chain
 
 
 def _mode_generator(system: SwitchSystem, i: int) -> Generator:
@@ -253,10 +257,13 @@ def nec2_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
     for i, mode in enumerate(system.modes):
         seed = kernel(mode.B0.T, rank_tol)
         chain = []
+        prev = None
         for k in range(system.n_modes + 1):
-            gens = [_mode_generator(system, j)
-                    for j in sorted(accessible_modes(system, i, k))]
-            vk, _ = strict_invariant_fixpoint(gens, seed, rank_tol)
+            acc = accessible_modes(system, i, k)
+            if acc != prev:  # V_k depends on k only through the accessible set
+                gens = [_mode_generator(system, j) for j in sorted(acc)]
+                vk, _ = strict_invariant_fixpoint(gens, seed, rank_tol)
+                prev = acc
             chain.append(vk)
         witness = chain[-1]
         per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, tuple(chain))
@@ -286,18 +293,14 @@ def suf1_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
         cols = [(system.C[(i, j)].T + np.eye(n)) @ ker.basis for j in system.support(i)]
         fixed_image = image(np.hstack(cols), rank_tol) if (cols and ker.dim) \
             else Subspace.zero(n)
-        V = ker.intersect(preimage(astar, ker.sum(fixed_image, rank_tol), rank_tol),
-                          rank_tol)
-        chain = [V]
-        for _ in range(n + 1):
-            W = V.intersect(
+
+        def step(V: Subspace) -> Subspace:
+            return V.intersect(
                 preimage(astar, V.sum(fixed_image, rank_tol), rank_tol), rank_tol)
-            chain.append(W)
-            if W.dim == V.dim:
-                break
-            V = W
+
+        chain = _decreasing_chain(step, step(ker))
         witness = chain[-1]
-        per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, tuple(chain))
+        per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, chain)
     overall = all(v.passed for v in per_mode.values())
     return CriterionVerdict("suf1", per_mode, overall)
 

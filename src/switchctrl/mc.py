@@ -1,18 +1,15 @@
-"""Monte Carlo estimation of terminal moments with reproducible parallelism.
+"""Monte Carlo estimation of terminal moments.
 
 Every trajectory draws from its own counter-based stream keyed by
 ``(seed, trajectory index)``, so the sample set is a pure function of the
-seed and the worker count can never change it.  Per-trajectory results are
-written into an array indexed by trajectory and reduced in fixed order
-(numpy pairwise summation), making aggregates bit-identical across worker
-counts.
+seed.  Per-trajectory results are reduced in fixed order (numpy pairwise
+summation), making aggregates bit-identical across runs with one seed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,38 +41,17 @@ class McEstimate:
             raise ValueError("need at least two samples")
 
 
-def _run_indexed(values: np.ndarray, worker: Callable[[int], float],
-                 n_workers: int) -> None:
-    n = values.size
-    if n_workers <= 1:
-        for i in range(n):
-            values[i] = worker(i)
-        return
-
-    def fill(chunk):
-        for i in chunk:
-            values[i] = worker(i)
-
-    chunks = [range(w, n, n_workers) for w in range(n_workers)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(fill, chunks))
-
-
 def estimate_terminal(system: SwitchSystem, x0, policy, T: float,
                       n_samples: int, seed: int, dt: float,
                       func: Callable[[np.ndarray], float],
-                      start_mode: int = 0,
-                      n_workers: int = 1) -> McEstimate:
+                      start_mode: int = 0) -> McEstimate:
     """Mean of ``func(X_T)`` over independent jump paths under ``policy``."""
     x0 = np.asarray(x0, dtype=float)
-
-    def one(i: int) -> float:
+    values = np.empty(n_samples)
+    for i in range(n_samples):
         path = sample_mode_path(system, start_mode, T, trajectory_rng(seed, i))
         xT = simulate_forward(system, x0, policy, path, dt, record=False)
-        return float(func(xT))
-
-    values = np.empty(n_samples)
-    _run_indexed(values, one, n_workers)
+        values[i] = func(xT)
     mean = float(np.sum(values) / n_samples)
     std = float(values.std(ddof=1))
     return McEstimate(mean, std / math.sqrt(n_samples), n_samples, seed, dt)
@@ -83,13 +59,12 @@ def estimate_terminal(system: SwitchSystem, x0, policy, T: float,
 
 def estimate_terminal_msq(system: SwitchSystem, x0, policy, T: float,
                           n_samples: int, seed: int, dt: float,
-                          start_mode: int = 0,
-                          n_workers: int = 1) -> McEstimate:
+                          start_mode: int = 0) -> McEstimate:
     """Mean squared terminal norm E|X_T|^2, the null-control figure of merit."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     return estimate_terminal(system, x0, policy, T, n_samples, seed, dt,
-                             lambda xT: float(xT @ xT), start_mode, n_workers)
+                             lambda xT: float(xT @ xT), start_mode)
 
 
 @dataclass(frozen=True)
@@ -129,8 +104,7 @@ BOUND_FLOOR = 1e-12
 
 def null_bound_check(system: SwitchSystem, x0, T: float,
                      N_values: Sequence[int], n_samples: int, seed: int,
-                     dt: float = 1e-2, start_mode: int = 0,
-                     n_workers: int = 1) -> NullBoundReport:
+                     dt: float = 1e-2, start_mode: int = 0) -> NullBoundReport:
     """Estimate E|X_T|^2 under the N-restart policy for each N and compare
     with ``exp(2 a0 T) |x0|^2 (1 - exp(-c0 T / N))``.
 
@@ -154,7 +128,7 @@ def null_bound_check(system: SwitchSystem, x0, T: float,
             )
             warned = True
         est = estimate_terminal_msq(system, x0, policy, T, n_samples, seed, dt,
-                                    start_mode, n_workers)
+                                    start_mode)
         bound = null_bound(system, x0, T, int(N))
         slack = 3.0 * est.std_error + BOUND_FLOOR * float(x0 @ x0)
         passed = (est.mean <= bound + slack) if commuting else None

@@ -25,7 +25,7 @@ from .criteria import (
 from .model import NotConstantError, SwitchSystem, as_constant, canonical_json, system_digest
 from .subspace import DEFAULT_RANK_TOL, Subspace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Criteria that certify failure (left) and success (right) of
 #: approximate null-controllability, in deciding order.
@@ -102,7 +102,7 @@ CRITERIA_REPORT_ORDER = ("nec1", "nec2", "suf1", "crit_equiv",
 
 
 def check_report(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL,
-                 seed: int = 0, mc_results=None, riccati_results=None) -> dict:
+                 seed: int = 0) -> dict:
     verdicts, applicability = run_criteria(system, rank_tol)
     verdict, decided_by = overall_verdict(verdicts)
     return {
@@ -115,8 +115,6 @@ def check_report(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL,
         "applicability": {k: applicability[k] for k in sorted(applicability)},
         "criteria": [verdict_dict(verdicts[name])
                      for name in CRITERIA_REPORT_ORDER if name in verdicts],
-        "mc_results": mc_results,
-        "riccati_results": riccati_results,
     }
 
 

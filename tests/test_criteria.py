@@ -120,6 +120,23 @@ def test_accessible_modes_closure_matches_boolean_powers():
         assert accessible_modes(sys_, 0, k) == accessible_modes(sys_, 0, 5 * k)
 
 
+def test_accessible_modes_stop_at_silent_modes():
+    # A silent mode (rate 0) never jumps, even when its transition row is
+    # stochastic, so nothing beyond it is accessible.
+    modes = tuple(
+        Mode(id=str(i), embedding=np.zeros(1), rate=rate,
+             A=np.zeros((1, 1)), B0=np.ones((1, 1)))
+        for i, rate in enumerate((0.0, 1.0, 1.0))
+    )
+    Q = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    C = {(0, 1): np.zeros((1, 1)), (1, 2): np.zeros((1, 1)),
+         (2, 0): np.zeros((1, 1))}
+    sys_ = SwitchSystem(n=1, d=1, m=1, beta=np.zeros(1), modes=modes, Q=Q, C=C)
+    assert accessible_modes(sys_, 0, 3) == {0}
+    assert accessible_modes(sys_, 1, 3) == {0, 1, 2}
+    assert accessible_modes(sys_, 2, 3) == {0, 2}
+
+
 # ------------------------------------------------- strict invariant fixpoints
 
 

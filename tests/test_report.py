@@ -76,7 +76,7 @@ def test_report_records_reproducibility_inputs():
     assert rep["system_digest"] == system_digest(sys_)
     assert rep["rank_tol"] == 1e-8
     assert rep["seed"] == 42
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     names = [c["name"] for c in rep["criteria"]]
     assert names == ["nec1", "nec2", "suf1", "crit_equiv", "det_kalman"]
 
