@@ -18,8 +18,7 @@ from switchctrl.riccati import viability_test
 
 def show(label, csystem, y, args):
     rep = viability_test(csystem, y, args.T,
-                         N_list=tuple(float(v) for v in args.N.split(",")),
-                         dt=args.dt)
+                         N_list=tuple(float(v) for v in args.N.split(",")))
     print(f"== {label} (y = {np.asarray(y).tolist()}) ==")
     for N, q in rep.table:
         print(f"  N = {N:>8g}   q = {q:12.6f}")
@@ -35,7 +34,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--T", type=float, default=1.0)
     parser.add_argument("--N", default="1,10,100,1000")
-    parser.add_argument("--dt", type=float, default=None)
     args = parser.parse_args()
 
     v1 = show("swap drift, kernel line", as_constant(nec1_det_not_nec2()),

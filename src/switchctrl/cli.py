@@ -223,15 +223,14 @@ def cmd_riccati(args) -> int:
             return 1
         y = ker.basis[:, 0]
     if args.format == "csv":
-        runs = [integrate_riccati(const, N, args.T, args.dt) for N in n_list]
+        runs = [integrate_riccati(const, N, args.T, args.tol_rank) for N in n_list]
         import io
 
         buf = io.StringIO()
         riccati_csv(runs, buf)
         _write_output(buf.getvalue(), args.out)
         return 0
-    rep = viability_test(const, y, args.T, N_list=n_list, dt=args.dt,
-                         rank_tol=args.tol_rank)
+    rep = viability_test(const, y, args.T, N_list=n_list, rank_tol=args.tol_rank)
     summary = {
         "command": "riccati",
         "tool_version": __version__,
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--riccati-N-list", default="1,10,100,1000",
                    help="penalty ladder, comma separated")
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_riccati)
 

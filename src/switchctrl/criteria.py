@@ -254,17 +254,16 @@ def nec2_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
     is the full intersection V_inf.
     """
     per_mode = {}
+    limits = {}  # V_k depends only on the accessible set and the seed's B0
     for i, mode in enumerate(system.modes):
         seed = kernel(mode.B0.T, rank_tol)
         chain = []
-        prev = None
         for k in range(system.n_modes + 1):
-            acc = accessible_modes(system, i, k)
-            if acc != prev:  # V_k depends on k only through the accessible set
-                gens = [_mode_generator(system, j) for j in sorted(acc)]
-                vk, _ = strict_invariant_fixpoint(gens, seed, rank_tol)
-                prev = acc
-            chain.append(vk)
+            key = (tuple(sorted(accessible_modes(system, i, k))), mode.B0.tobytes())
+            if key not in limits:
+                gens = [_mode_generator(system, j) for j in key[0]]
+                limits[key] = strict_invariant_fixpoint(gens, seed, rank_tol)[0]
+            chain.append(limits[key])
         witness = chain[-1]
         per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, tuple(chain))
     overall = all(v.passed for v in per_mode.values())

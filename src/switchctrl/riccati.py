@@ -8,6 +8,10 @@ viable exactly when the forms stay bounded as ``N`` grows.  Boundedness in
 the limit is not decidable from finitely many ``N``, so the verdict here
 is a numerical heuristic (plateau against fitted growth) and is labeled as
 such wherever it is reported; the algebraic criteria remain authoritative.
+
+Each flow is integrated by an adaptive Dormand-Prince 5(4) pair (Dormand &
+Prince 1980) with error-per-step control at the fixed tolerances ``RTOL``
+1e-11 and ``ATOL`` 1e-12; a run keeps K at every accepted step.
 """
 
 from __future__ import annotations
@@ -26,17 +30,21 @@ DEFAULT_N_LIST = (1.0, 10.0, 100.0, 1000.0)
 
 
 class RiccatiPositivityError(RuntimeError):
-    """(I + K) stopped being positive definite; the step size is too large."""
+    """Step underflow at ``t``: every trial step down to ``h < 1e-14 T``
+    was rejected because (I + K) was not positive definite at one of its
+    stages (or its error estimate was not finite)."""
 
-    def __init__(self, t: float, dt: float):
+    def __init__(self, t: float, h: float):
         self.t = t
-        self.dt = dt
-        super().__init__(f"I + K lost positive definiteness at t={t:.6g} (dt={dt:g})")
+        self.h = h
+        super().__init__(f"I + K lost positive definiteness at t={t:.6g} "
+                         f"(step underflow, h={h:g})")
 
 
 @dataclass(frozen=True)
 class RiccatiRun:
-    """One integrated penalty flow: symmetric PSD K on a uniform grid, K(0) = 0."""
+    """One integrated penalty flow: symmetric PSD K at the solver's accepted
+    steps (``grid[0] = 0``, ``grid[-1] = T``), K(0) = 0."""
 
     N: float
     grid: np.ndarray
@@ -47,19 +55,18 @@ class RiccatiRun:
         return float(y @ self.K[-1] @ y)
 
 
-def _rhs_builder(csystem: ConstantSystem, N: float, perp: np.ndarray, dt: float):
+def _rhs_builder(csystem: ConstantSystem, N: float, perp: np.ndarray):
+    """Right-hand side of the flow; raises ``np.linalg.LinAlgError`` when
+    (I + K) is not positive definite."""
     A = csystem.A
     n = csystem.n
     eye = np.eye(n)
     marks = [(w, np.asarray(c)) for w, c in csystem.marks if w > 0.0]
 
-    def rhs(K, t):
+    def rhs(K):
         val = -K @ A.T - A @ K + N * perp
         if marks:
-            try:
-                ch = cho_factor(eye + K, check_finite=False)
-            except np.linalg.LinAlgError:
-                raise RiccatiPositivityError(t, dt) from None
+            ch = cho_factor(eye + K, check_finite=False)
             S = np.zeros((n, n))
             for w, c in marks:
                 S += w * (c.T @ cho_solve(ch, c, check_finite=False))
@@ -69,47 +76,82 @@ def _rhs_builder(csystem: ConstantSystem, N: float, perp: np.ndarray, dt: float)
     return rhs
 
 
+#: Error tolerances of the adaptive stepper (relative, absolute), per entry of K.
+RTOL = 1e-11
+ATOL = 1e-12
+
+# Dormand & Prince (1980) 5(4) tableau: stage rows (the last row is the
+# fifth-order solution, whose stage is the next step's first: FSAL) and the
+# fifth- minus fourth-order weights.  The flow is autonomous, so the nodes
+# are not needed.
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
 def integrate_riccati(csystem: ConstantSystem, N: float, T: float,
-                      dt: float | None = None,
                       rank_tol: float = DEFAULT_RANK_TOL) -> RiccatiRun:
     """Integrate the penalty flow forward from K(0) = 0 on [0, T].
 
-    Classical fourth-order steps with symmetry re-enforced after every
-    step; ``(I + K)`` is inverted by a symmetric (Cholesky) solve.  The
-    default step is ``1e-4 T``; a positivity failure triggers one
-    automatic retry at half the step before the error propagates.
+    Adaptive Dormand-Prince 5(4) steps (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4): the fifth-order solution is propagated, the embedded
+    fourth-order one estimates the local error in the RMS norm with scale
+    ``ATOL + RTOL |K|`` (``RTOL`` 1e-11, ``ATOL`` 1e-12), and the step is
+    multiplied by ``0.9 err^(-1/5)`` clipped to [0.2, 10].  The first step
+    is ``1e-3 T``; the last is clipped to land on ``T`` exactly.  Symmetry
+    is re-enforced at every accepted step, and ``(I + K)`` is inverted by a
+    symmetric (Cholesky) solve.  A stage at which ``(I + K)`` is not
+    positive definite rejects the step and shrinks it by 0.2;
+    ``RiccatiPositivityError`` is raised once the step falls below
+    ``1e-14 T``.  The run holds every accepted step.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     if N <= 0:
         raise ValueError("the penalty weight must be positive")
-    if dt is None:
-        dt = 1e-4 * T
-    perp = image(csystem.B, rank_tol).projector()
-    try:
-        return _integrate(csystem, N, T, dt, perp)
-    except RiccatiPositivityError:
-        return _integrate(csystem, N, T, dt / 2.0, perp)
-
-
-def _integrate(csystem, N, T, dt, perp):
-    steps = max(1, int(math.ceil(T / dt - 1e-12)))
-    h = T / steps
-    rhs = _rhs_builder(csystem, N, perp, h)
+    rhs = _rhs_builder(csystem, float(N), image(csystem.B, rank_tol).projector())
     n = csystem.n
     K = np.zeros((n, n))
-    out = np.empty((steps + 1, n, n))
-    out[0] = K
-    for i in range(steps):
-        t = i * h
-        k1 = rhs(K, t)
-        k2 = rhs(K + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(K + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(K + h * k3, t + h)
-        K = K + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        K = 0.5 * (K + K.T)
-        out[i + 1] = K
-    return RiccatiRun(float(N), np.linspace(0.0, T, steps + 1), out)
+    grid, out = [0.0], [K]
+    t, h, h_min = 0.0, 1e-3 * T, 1e-14 * T
+    k = [rhs(K)] + [None] * 6
+    while t < T:
+        if h < h_min:
+            raise RiccatiPositivityError(t, h)
+        last = t + h >= T
+        if last:
+            h = T - t
+        try:
+            for s in range(1, 7):
+                Ks = K + h * sum(a * k[j] for j, a in enumerate(_A[s]) if a)
+                if s == 6:
+                    Ks = 0.5 * (Ks + Ks.T)
+                k[s] = rhs(Ks)
+        except np.linalg.LinAlgError:
+            h *= 0.2
+            continue
+        delta = h * sum(e * k[j] for j, e in enumerate(_E) if e)
+        scale = ATOL + RTOL * np.maximum(np.abs(K), np.abs(Ks))
+        err = math.sqrt(float(np.mean((delta / scale) ** 2)))
+        if not math.isfinite(err):
+            h *= 0.2
+            continue
+        fac = min(10.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 10.0
+        if err <= 1.0:
+            t = T if last else t + h
+            K = Ks
+            grid.append(t)
+            out.append(K)
+            k[0] = k[6]
+        h *= fac
+    return RiccatiRun(float(N), np.array(grid), np.array(out))
 
 
 @dataclass(frozen=True)
@@ -136,7 +178,6 @@ def viability_test(csystem: ConstantSystem, y, T: float,
                    growth_tol: float = 0.05,
                    power_threshold: float = 0.5,
                    decay_factor: float = 2.0 / 3.0,
-                   dt: float | None = None,
                    rank_tol: float = DEFAULT_RANK_TOL) -> ViabilityReport:
     """Classify a kernel vector as viable or nonviable under the penalty ladder.
 
@@ -172,7 +213,7 @@ def viability_test(csystem: ConstantSystem, y, T: float,
 
     qs = []
     for N in N_list:
-        run = integrate_riccati(csystem, float(N), T, dt, rank_tol)
+        run = integrate_riccati(csystem, float(N), T, rank_tol)
         qs.append(max(run.terminal_form(y), 0.0))
     table = tuple((float(N), q) for N, q in zip(N_list, qs))
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import switchctrl
 from switchctrl import fixtures
 from switchctrl.cli import build_parser, main
 from switchctrl.model import Mode, SwitchSystem, serialize_spec
@@ -140,7 +142,7 @@ def test_riccati_nonviable_vector(spec_dir, tmp_path):
     out = tmp_path / "r.json"
     code = main(["riccati", str(spec_dir / "ctrl-not-suf1.json"),
                  "--y", "0,0,1", "--riccati-N-list", "1,10,100",
-                 "--dt", "1e-3", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "nonviable"
@@ -150,7 +152,7 @@ def test_riccati_nonviable_vector(spec_dir, tmp_path):
 
 def test_riccati_vector_outside_kernel(spec_dir, capsys):
     code = main(["riccati", str(spec_dir / "ctrl-not-suf1.json"),
-                 "--y", "1,0,0", "--riccati-N-list", "1,10,100", "--dt", "1e-3"])
+                 "--y", "1,0,0", "--riccati-N-list", "1,10,100"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "nonviable"
@@ -164,12 +166,23 @@ def test_riccati_refuses_nonconstant(spec_dir):
 def test_riccati_csv_export(spec_dir, tmp_path):
     out = tmp_path / "runs.csv"
     code = main(["riccati", str(spec_dir / "ctrl-not-suf1.json"),
-                 "--riccati-N-list", "1,10", "--dt", "1e-2",
+                 "--riccati-N-list", "1,10",
                  "--format", "csv", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("N,t,k11,k12")
     assert len(lines) > 100
+    rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    for N in (1.0, 10.0):
+        t = rows[rows[:, 0] == N, 1]
+        assert t[0] == 0.0 and t[-1] == 1.0  # every rung ends at t = T
+        assert np.all(np.diff(t) > 0.0)
+
+
+def test_riccati_step_flag_is_gone(spec_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["riccati", str(spec_dir / "ctrl-not-suf1.json"), "--dt", "1e-3"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------------------ verify-example
@@ -199,9 +212,12 @@ def test_seed_env_default(monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(switchctrl.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "switchctrl.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"

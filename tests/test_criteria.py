@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchctrl import fixtures
+from switchctrl import criteria, fixtures
 from switchctrl.criteria import (
     FeedbackWitness,
     RefusalError,
@@ -229,6 +229,26 @@ def test_nec2_fails_on_swap_drift_fixture():
     for v in verdict.per_mode.values():
         assert v.witness.isclose(Subspace.span_of(e2))
         assert v.witness.distance(Subspace.span_of(e2)) <= 1e-9
+
+
+def test_nec2_computes_each_limit_once(monkeypatch):
+    # Both start modes share B0 and reach the same set {0, 1}: three strict
+    # fixpoints ({0}, {1}, {0, 1}), not four, with unchanged chains.
+    sys_ = fixtures.nec1_det_not_nec2()
+    expected = nec2_check(sys_)
+    calls = []
+    real = criteria.strict_invariant_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "strict_invariant_fixpoint", counted)
+    verdict = nec2_check(sys_)
+    assert len(calls) == 3
+    for mode_id, v in verdict.per_mode.items():
+        assert [s.basis.tolist() for s in v.chain] == \
+            [s.basis.tolist() for s in expected.per_mode[mode_id].chain]
 
 
 def test_nec2_chain_is_monotone():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from switchctrl import fixtures
+from switchctrl import fixtures, riccati
 from switchctrl.model import ConstantSystem, as_constant
-from switchctrl.riccati import integrate_riccati, riccati_csv, viability_test
+from switchctrl.riccati import (RiccatiPositivityError, integrate_riccati, riccati_csv,
+                                viability_test)
 
 
 def scalar_system(a, b, marks=()):
@@ -15,19 +16,19 @@ def scalar_system(a, b, marks=()):
 
 
 def test_zero_projector_keeps_flow_at_zero():
-    run = integrate_riccati(scalar_system(0.0, 0.0), 7.0, 1.0, dt=1e-3)
+    run = integrate_riccati(scalar_system(0.0, 0.0), 7.0, 1.0)
     assert np.max(np.abs(run.K)) == 0.0
 
 
 def test_linear_growth_closed_form():
     # Full-rank input, zero drift, no marks: K(t) = N t exactly.
-    run = integrate_riccati(scalar_system(0.0, 1.0), 5.0, 1.0, dt=1e-3)
+    run = integrate_riccati(scalar_system(0.0, 1.0), 5.0, 1.0)
     assert np.max(np.abs(run.K[:, 0, 0] - 5.0 * run.grid)) <= 1e-10
 
 
 def test_flow_is_symmetric_psd_and_monotone():
     c2 = as_constant(fixtures.nec1_det_not_nec2())
-    run = integrate_riccati(c2, 10.0, 1.0, dt=1e-3)
+    run = integrate_riccati(c2, 10.0, 1.0)
     assert run.K[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     sel = np.linspace(0, len(run.grid) - 1, 25).astype(int)
     for i in sel:
@@ -50,11 +51,81 @@ def test_monotone_in_penalty_weight():
         )
         cs = ConstantSystem(n=n, d=1, A=rng.standard_normal((n, n)),
                             B=rng.standard_normal((n, 1)), marks=marks)
-        lo = integrate_riccati(cs, 1.0, 0.8, dt=2e-4)
-        hi = integrate_riccati(cs, 10.0, 0.8, dt=2e-4)
-        for i in np.linspace(0, len(lo.grid) - 1, 9).astype(int):
-            diff = hi.K[i] - lo.K[i]
+        # the two flows take different steps, so compare terminal forms at
+        # common horizons
+        for T in np.linspace(0.1, 0.8, 8):
+            diff = integrate_riccati(cs, 10.0, T).K[-1] - integrate_riccati(cs, 1.0, T).K[-1]
             assert np.linalg.eigvalsh(diff).min() >= -1e-8
+
+
+def test_terminal_forms_match_seed_rk4():
+    # Ladder tables and CSV terminal K of the former fixed-step RK4 path
+    # (dt = 1e-4 T, T = 1).
+    tables = {
+        "nec1_det_not_nec2": ([0.0, 1.0], [
+            (1.0, 0.36629267262679044), (10.0, 2.31416573397281),
+            (100.0, 7.370630180123845), (1000.0, 16.48882551093228)]),
+        "ctrl_not_suf1": ([0.0, 0.0, 1.0], [
+            (1.0, 0.04064190854841858), (10.0, 0.28069117437074287),
+            (100.0, 1.9569662009316737), (1000.0, 14.60295338370502)]),
+    }
+    for name, (y, table) in tables.items():
+        cs = as_constant(getattr(fixtures, name)())
+        for N, q in table:
+            run = integrate_riccati(cs, N, 1.0)
+            assert run.grid[-1] == 1.0
+            assert abs(run.terminal_form(y) - q) <= 1e-9 * q
+    terminal_K = {
+        1.0: [1.284280378976094, -0.6206611595900056,
+              -0.6206611595900056, 0.36629267262679044],
+        1000.0: [200.77297384352573, -34.997264993825894,
+                 -34.997264993825894, 16.48882551093228],
+    }
+    c2 = as_constant(fixtures.nec1_det_not_nec2())
+    for N, K in terminal_K.items():
+        got = integrate_riccati(c2, N, 1.0).K[-1].ravel()
+        assert np.max(np.abs(got - K)) <= 1e-9 * np.max(np.abs(K))
+
+
+def test_positivity_failure_rejects_the_step(monkeypatch):
+    # A failed Cholesky factorization of I + K rejects the step and shrinks
+    # it; the flow still reaches T with the same terminal K.
+    c2 = as_constant(fixtures.nec1_det_not_nec2())
+    ref = integrate_riccati(c2, 10.0, 1.0)
+    real = riccati.cho_factor
+    calls = []
+
+    def flaky(a, **kw):
+        calls.append(None)
+        if len(calls) == 40:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(a, **kw)
+
+    monkeypatch.setattr(riccati, "cho_factor", flaky)
+    run = integrate_riccati(c2, 10.0, 1.0)
+    assert run.grid.shape != ref.grid.shape or np.any(run.grid != ref.grid)
+    assert run.grid[-1] == 1.0
+    assert np.max(np.abs(run.K[-1] - ref.K[-1])) <= 1e-9 * np.max(np.abs(ref.K[-1]))
+
+
+def test_positivity_error_on_step_underflow(monkeypatch):
+    # Every factorization after the one at K(0) = 0 fails: the step shrinks
+    # by 0.2 per rejection until it underflows 1e-14 T.
+    real = riccati.cho_factor
+    calls = []
+
+    def only_first(a, **kw):
+        calls.append(None)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(a, **kw)
+
+    monkeypatch.setattr(riccati, "cho_factor", only_first)
+    c2 = as_constant(fixtures.nec1_det_not_nec2())
+    with pytest.raises(RiccatiPositivityError) as err:
+        integrate_riccati(c2, 10.0, 2.0)
+    assert err.value.t == 0.0
+    assert 0.2e-14 * 2.0 <= err.value.h < 1e-14 * 2.0
 
 
 def test_energy_bound_of_explicit_confining_control():
@@ -127,7 +198,7 @@ def test_n_list_validation():
 def test_riccati_csv_layout():
     import io
 
-    run = integrate_riccati(scalar_system(0.0, 1.0), 2.0, 0.1, dt=0.05)
+    run = integrate_riccati(scalar_system(0.0, 1.0), 2.0, 0.1)
     buf = io.StringIO()
     riccati_csv([run], buf)
     lines = buf.getvalue().strip().split("\n")
