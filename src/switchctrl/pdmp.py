@@ -12,8 +12,10 @@ Linear-in-state controls (zero, minimal-energy, feedback) make each
 segment an autonomous linear system, possibly after augmenting with an
 adjoint variable; for those the one-step map is the degree-4 Taylor
 polynomial of the segment generator, which is exactly what the classical
-scheme produces on linear autonomous systems.  General callable controls
-fall back to stage evaluation.
+scheme produces on linear autonomous systems.  A recorded linear segment
+of k steps is filled in one block by repeated squaring of the one-step
+matrix (about log2(k) matrix products); an unrecorded one applies its k-th
+power.  General callable controls fall back to stage evaluation.
 """
 
 from __future__ import annotations
@@ -69,9 +71,14 @@ class ModePath:
             nxt = self.modes[i + 1] if i < len(self.modes) - 1 else None
             yield bounds[i], bounds[i + 1], mode, nxt
 
-    def jumps_before(self, t: float, inclusive: bool = True) -> int:
-        side = "right" if inclusive else "left"
-        return int(np.searchsorted(self.jump_times, t, side=side))
+    def jumps_before(self, t, inclusive=True):
+        """Number of jumps at or before ``t`` (strictly before it when not
+        ``inclusive``).  ``t`` and ``inclusive`` may be arrays, which
+        broadcast; a scalar call returns an ``int``."""
+        counts = np.where(inclusive,
+                          np.searchsorted(self.jump_times, t, side="right"),
+                          np.searchsorted(self.jump_times, t, side="left"))
+        return int(counts) if counts.ndim == 0 else counts
 
 
 def sample_mode_path(system: SwitchSystem, start: int, t_end: float,
@@ -152,27 +159,38 @@ class Trajectory:
 
 
 class _Recorder:
+    """Collects recorded points as blocks; ``build`` concatenates them."""
+
     def __init__(self, enabled: bool, n_state: int):
         self.enabled = enabled
         self.n_state = n_state
-        self.times: list[float] = []
+        self.times: list[np.ndarray] = []
         self.states: list[np.ndarray] = []
         self.mode_idx: list[int] = []
         self.side: list[int] = []
+        self.counts: list[int] = []
 
     def add(self, t, mode, x, side=SIDE_INTERIOR):
+        """Record one point (start, jump pre/post, or end of a path)."""
         if self.enabled:
-            self.times.append(float(t))
-            self.states.append(np.array(x[: self.n_state]))
+            self.add_block(np.array([float(t)]), mode, np.array(x, ndmin=2),
+                           side)
+
+    def add_block(self, times, mode, states, side=SIDE_INTERIOR):
+        """Record the rows of ``states`` at ``times``, all under one mode."""
+        if self.enabled:
+            self.times.append(times)
+            self.states.append(states[:, : self.n_state])
             self.mode_idx.append(int(mode))
             self.side.append(side)
+            self.counts.append(times.size)
 
     def build(self, mode_ids) -> Trajectory:
         return Trajectory(
-            times=np.array(self.times),
-            states=np.vstack(self.states),
-            mode_idx=np.array(self.mode_idx, dtype=int),
-            side=np.array(self.side, dtype=np.int8),
+            times=np.concatenate(self.times),
+            states=np.concatenate(self.states),
+            mode_idx=np.repeat(np.array(self.mode_idx, dtype=int), self.counts),
+            side=np.repeat(np.array(self.side, dtype=np.int8), self.counts),
             mode_ids=tuple(mode_ids),
         )
 
@@ -198,17 +216,31 @@ def _steps_for(length: float, dt: float) -> int:
 
 
 def _advance_linear(state, G, t0, length, dt, rec, mode):
-    """Propagate ``state' = G state`` over ``length``; record interior points."""
+    """Propagate ``state' = G state`` over ``length``; record interior points.
+
+    Recorded, the rows ``P^i state`` for i = 1..k are filled by doubling:
+    ``rows[s:2s] = rows[:s] @ (P^T)^s`` with ``P^T`` squared each round,
+    about log2(k) matrix products per segment.
+    """
     if length <= 0.0:
         return state
     k = _steps_for(length, dt)
     h = length / k
     P = _taylor4(G, h)
     if rec is not None and rec.enabled:
-        for i in range(1, k):
-            state = P @ state
-            rec.add(t0 + i * h, mode, state)
-        return P @ state
+        rows = np.empty((k, state.shape[0]))
+        rows[0] = P @ state
+        step = P.T
+        done = 1
+        while done < k:
+            more = min(done, k - done)
+            rows[done:done + more] = rows[:more] @ step
+            done += more
+            if done < k:
+                step = step @ step
+        if k > 1:
+            rec.add_block(t0 + np.arange(1, k) * h, mode, rows[:-1])
+        return rows[-1]
     if k == 1:
         return P @ state
     return np.linalg.matrix_power(P, k) @ state
@@ -228,10 +260,13 @@ def _advance_rk4(f, x, t0, length, dt, rec, mode):
         return x
     k = _steps_for(length, dt)
     h = length / k
+    interior = np.empty((k - 1, x.shape[0])) if rec is not None else None
     for i in range(k):
         x = _rk4_step(f, i * h, x, h)
-        if rec is not None and i < k - 1:
-            rec.add(t0 + (i + 1) * h, mode, x)
+        if interior is not None and i < k - 1:
+            interior[i] = x
+    if interior is not None and k > 1:
+        rec.add_block(t0 + np.arange(1, k) * h, mode, interior)
     return x
 
 
@@ -276,8 +311,10 @@ def simulate_forward(system: SwitchSystem, x0, policy, path: ModePath,
     """Integrate the controlled state along a fixed mode path.
 
     Returns a :class:`Trajectory` when ``record`` is true, otherwise the
-    terminal state only (the arithmetic per step is identical; the
-    unrecorded linear fast path reassociates the matrix products).
+    terminal state only.  Both run the same one-step maps; the linear
+    segments associate the matrix products differently (doubling when
+    recorded, a matrix power when not), so the terminal states agree to
+    rounding.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import ConstantSystem
 from .subspace import DEFAULT_RANK_TOL, image, kernel
@@ -66,10 +66,12 @@ def _rhs_builder(csystem: ConstantSystem, N: float, perp: np.ndarray):
     def rhs(K):
         val = -K @ A.T - A @ K + N * perp
         if marks:
-            ch = cho_factor(eye + K, check_finite=False)
+            ch, info = dpotrf(eye + K, lower=0, clean=0)
+            if info > 0:
+                raise np.linalg.LinAlgError("I + K is not positive definite")
             S = np.zeros((n, n))
             for w, c in marks:
-                S += w * (c.T @ cho_solve(ch, c, check_finite=False))
+                S += w * (c.T @ dpotrs(ch, c, lower=0)[0])
             val = val - K @ S @ K
         return val
 

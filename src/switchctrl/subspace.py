@@ -48,7 +48,7 @@ class Subspace:
 
     ``basis`` has shape ``(n, k)`` with orthonormal columns; ``k == 0``
     encodes the zero subspace.  Instances are immutable (the array is
-    marked read-only) and may be shared freely across workers.
+    marked read-only).
     """
 
     basis: np.ndarray

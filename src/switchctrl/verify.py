@@ -24,7 +24,13 @@ from .criteria import (
 )
 from .mc import estimate_terminal, trajectory_rng
 from .model import as_constant
-from .pdmp import FeedbackDualControl, ZeroPolicy, sample_mode_path, simulate_dual
+from .pdmp import (
+    SIDE_PRE,
+    FeedbackDualControl,
+    ZeroPolicy,
+    sample_mode_path,
+    simulate_dual,
+)
 from .subspace import Subspace, kernel
 
 
@@ -94,8 +100,7 @@ def verify_nec1_det_not_nec2(seed: int = 0) -> list[Assertion]:
     for i in range(100):
         path = sample_mode_path(sys_, 0, 1.0, trajectory_rng(seed, i))
         traj = simulate_dual(sys_, np.array([0.0, 1.0]), ctrl, path, 1e-4)
-        jumps = np.array([path.jumps_before(t, inclusive=(s != 1))
-                          for t, s in zip(traj.times, traj.side)])
+        jumps = path.jumps_before(traj.times, inclusive=traj.side != SIDE_PRE)
         ref = np.column_stack([np.zeros(traj.times.size),
                                (-1.0) ** jumps * np.exp(2.0 * traj.times)])
         worst = max(worst, float(np.max(np.abs(traj.states - ref))))

@@ -1,13 +1,15 @@
 import io
 
 import numpy as np
+import pytest
 from scipy import stats
 from scipy.linalg import expm
 
-from switchctrl import fixtures
+from switchctrl import fixtures, pdmp
 from switchctrl.criteria import feedback_witness
 from switchctrl.model import Mode, SwitchSystem
 from switchctrl.pdmp import (
+    SIDE_PRE,
     FeedbackDualControl,
     ModePath,
     ZeroDualControl,
@@ -17,7 +19,7 @@ from switchctrl.pdmp import (
     simulate_dual,
     simulate_forward,
 )
-from switchctrl.synth import ConstantPolicy
+from switchctrl.synth import ConstantPolicy, piecewise_null_policy
 
 
 def rng_for(seed):
@@ -136,6 +138,26 @@ def test_forward_grid_spacing_never_exceeds_dt():
     assert np.max(np.diff(traj.times)) <= 0.01 + 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+def test_recorded_segment_of_k_steps(k):
+    # Two segments of k steps each, at the edges of the doubling fill:
+    # k - 1 interior points per segment, the rows P^i x0 of the one-step
+    # matrix, and the terminal state of the unrecorded matrix power.
+    sys_ = fixtures.nec1_det_not_nec2()
+    path = ModePath(1.0, np.array([0.5]), (0, 1))
+    dt = 0.5 / k
+    x0 = np.array([0.7, -0.4])
+    traj = simulate_forward(sys_, x0, ZeroPolicy(), path, dt)
+    assert traj.times.size == 2 * (k - 1) + 4
+    assert np.count_nonzero(traj.side == pdmp.SIDE_INTERIOR) == 2 * k
+    assert np.max(np.diff(traj.times)) <= dt + 1e-12
+    P = pdmp._taylor4(effective_drift(sys_, 0), dt)
+    ref = np.array([np.linalg.matrix_power(P, i) @ x0 for i in range(k + 1)])
+    assert np.max(np.abs(traj.states[: k + 1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    xT = simulate_forward(sys_, x0, ZeroPolicy(), path, dt, record=False)
+    assert np.max(np.abs(traj.final_state - xT)) <= 1e-13 * np.max(np.abs(xT))
+
+
 def test_forward_fourth_order_convergence_on_fixed_path():
     sys_ = fixtures.nec1_det_not_nec2()
     path = ModePath(1.0, np.array([0.31, 0.77]), (0, 1, 0))
@@ -200,11 +222,71 @@ def test_dual_matches_flip_exponential_closed_form():
     for _ in range(5):
         path = sample_mode_path(sys_, 0, 1.0, rng)
         traj = simulate_dual(sys_, np.array([0.0, 1.0]), ctrl, path, 1e-4)
-        jumps = np.array([path.jumps_before(t, inclusive=(s != 1))
-                          for t, s in zip(traj.times, traj.side)])
+        jumps = path.jumps_before(traj.times, inclusive=traj.side != SIDE_PRE)
         ref = np.column_stack([np.zeros(traj.times.size),
                                (-1.0) ** jumps * np.exp(2.0 * traj.times)])
         assert np.max(np.abs(traj.states - ref)) <= 1e-6
+
+
+def test_jumps_before_array_matches_scalar_calls():
+    path = ModePath(1.0, np.array([0.25, 0.5, 0.8]), (0, 1, 0, 1))
+    t = np.array([0.0, 0.1, 0.25, 0.25, 0.5, 0.6, 0.8, 0.8, 1.0])
+    inclusive = np.array([True, False, False, True, True, False, False, True, True])
+    scalar = [path.jumps_before(a, b) for a, b in zip(t, inclusive)]
+    assert all(type(c) is int for c in scalar)
+    assert scalar == [0, 0, 0, 1, 2, 2, 2, 3, 3]
+    assert np.array_equal(path.jumps_before(t, inclusive), scalar)
+    assert np.array_equal(path.jumps_before(t), [path.jumps_before(a) for a in t])
+
+
+def _stepwise_linear(state, G, t0, length, dt, rec, mode):
+    """The per-step recording loop the block recorder replaced."""
+    if length <= 0.0:
+        return state
+    k = pdmp._steps_for(length, dt)
+    h = length / k
+    P = pdmp._taylor4(G, h)
+    for i in range(1, k):
+        state = P @ state
+        rec.add(t0 + i * h, mode, state)
+    return P @ state
+
+
+def test_recorded_matches_stepwise_reference(monkeypatch):
+    # Every fixture forward and dual at two grid sizes, plus min-energy
+    # forward paths whose adjoint is cut at active_until: the grid, sides
+    # and modes are bit-equal to the stepwise loop's, the states agree to
+    # rounding.
+    names = ["nec1_not_det", "nec1_det_not_nec2", "nec2_det_not_nec1",
+             "ctrl_not_suf1", "cont_switch_bound"]
+    cases = []
+    for name in names:
+        sys_ = getattr(fixtures, name)()
+        rng = rng_for(29)
+        for dt in (1e-2, 1e-4):
+            for _ in range(2):
+                path = sample_mode_path(sys_, 0, 1.0, rng)
+                x0 = np.linspace(1.0, -0.5, sys_.n)
+                cases.append((simulate_forward, sys_, x0, ZeroPolicy(), path, dt))
+                cases.append((simulate_dual, sys_, x0, ZeroDualControl(), path, dt))
+    sys_ = fixtures.cont_switch_bound()
+    policy = piecewise_null_policy(sys_, 4, 1.0)
+    rng = rng_for(31)
+    paths = [ModePath(1.0, np.array([0.6]), (0, 1))]
+    paths += [sample_mode_path(sys_, 0, 1.0, rng) for _ in range(4)]
+    for path in paths:
+        for dt in (1e-2, 1e-4):
+            cases.append((simulate_forward, sys_, np.ones(2), policy, path, dt))
+
+    got = [sim(*args) for sim, *args in cases]
+    monkeypatch.setattr(pdmp, "_advance_linear", _stepwise_linear)
+    for traj, (sim, *args) in zip(got, cases):
+        ref = sim(*args)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.side, ref.side)
+        assert np.array_equal(traj.mode_idx, ref.mode_idx)
+        scale = np.max(np.abs(ref.states))
+        assert np.max(np.abs(traj.states - ref.states)) <= 1e-11 * scale
 
 
 def test_dual_feedback_confined_to_witness_subspace():

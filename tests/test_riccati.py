@@ -92,16 +92,16 @@ def test_positivity_failure_rejects_the_step(monkeypatch):
     # it; the flow still reaches T with the same terminal K.
     c2 = as_constant(fixtures.nec1_det_not_nec2())
     ref = integrate_riccati(c2, 10.0, 1.0)
-    real = riccati.cho_factor
+    real = riccati.dpotrf
     calls = []
 
     def flaky(a, **kw):
         calls.append(None)
         if len(calls) == 40:
-            raise np.linalg.LinAlgError("not positive definite")
+            return a, 1
         return real(a, **kw)
 
-    monkeypatch.setattr(riccati, "cho_factor", flaky)
+    monkeypatch.setattr(riccati, "dpotrf", flaky)
     run = integrate_riccati(c2, 10.0, 1.0)
     assert run.grid.shape != ref.grid.shape or np.any(run.grid != ref.grid)
     assert run.grid[-1] == 1.0
@@ -111,16 +111,16 @@ def test_positivity_failure_rejects_the_step(monkeypatch):
 def test_positivity_error_on_step_underflow(monkeypatch):
     # Every factorization after the one at K(0) = 0 fails: the step shrinks
     # by 0.2 per rejection until it underflows 1e-14 T.
-    real = riccati.cho_factor
+    real = riccati.dpotrf
     calls = []
 
     def only_first(a, **kw):
         calls.append(None)
         if len(calls) > 1:
-            raise np.linalg.LinAlgError("not positive definite")
+            return a, 1
         return real(a, **kw)
 
-    monkeypatch.setattr(riccati, "cho_factor", only_first)
+    monkeypatch.setattr(riccati, "dpotrf", only_first)
     c2 = as_constant(fixtures.nec1_det_not_nec2())
     with pytest.raises(RiccatiPositivityError) as err:
         integrate_riccati(c2, 10.0, 2.0)
