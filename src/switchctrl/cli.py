@@ -10,6 +10,8 @@ the seed; an explicit ``--seed`` wins.
 from __future__ import annotations
 
 import argparse
+import io
+import math
 import os
 import sys
 
@@ -52,6 +54,15 @@ def _float_vector(text: str) -> np.ndarray:
         print(f"error: expected comma-separated numbers, got {text!r}",
               file=sys.stderr)
         raise SystemExit(1) from None
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 def _write_output(data: str, out_path: str | None):
@@ -116,8 +127,16 @@ def _forward_policy(args, system):
 
 def cmd_simulate(args) -> int:
     if args.paths < 1:
-        print("error: --paths must be at least 1", file=sys.stderr)
-        return 1
+        return _usage_error("--paths must be at least 1")
+    if args.policy != "feedback-dual" and 1 < args.paths < 100:
+        return _usage_error("--paths must be 1 (one trajectory) or at least "
+                            "100 (a terminal estimate)")
+    if args.policy == "min-energy" and args.N < 1:
+        return _usage_error("--N must be at least 1")
+    if not _positive(args.T):
+        return _usage_error("--T must be positive and finite")
+    if not _positive(args.dt):
+        return _usage_error("--dt must be positive and finite")
     system = _load_system(args.spec)
     start = _mode_index(system, args.start_mode)
     try:
@@ -134,8 +153,6 @@ def cmd_simulate(args) -> int:
     if args.paths == 1:
         path = sample_mode_path(system, start, args.T, trajectory_rng(args.seed, 0))
         traj = simulate_forward(system, x0, policy, path, args.dt)
-        import io
-
         buf = io.StringIO()
         traj.to_csv(buf)
         _write_output(buf.getvalue(), args.out)
@@ -177,8 +194,6 @@ def _simulate_dual_witness(args, system, start) -> int:
     if args.paths == 1:
         path = sample_mode_path(system, start, args.T, trajectory_rng(args.seed, 0))
         traj = simulate_dual(system, y0, FeedbackDualControl(wit.F), path, args.dt)
-        import io
-
         buf = io.StringIO()
         traj.to_csv(buf)
         _write_output(buf.getvalue(), args.out)
@@ -202,13 +217,21 @@ def _simulate_dual_witness(args, system, start) -> int:
 
 
 def cmd_riccati(args) -> int:
+    if not _positive(args.T):
+        return _usage_error("--T must be positive and finite")
+    n_list = tuple(float(v) for v in _float_vector(args.riccati_N_list))
+    if not all(_positive(N) for N in n_list):
+        return _usage_error("--riccati-N-list weights must be positive and finite")
+    ladder = len(n_list) >= 3 and sorted(set(n_list)) == list(n_list)
+    if args.format == "json" and not ladder:
+        return _usage_error("--riccati-N-list needs at least three strictly "
+                            "increasing weights")
     system = _load_system(args.spec)
     try:
         const = as_constant(system)
     except NotConstantError as exc:
         print(f"refusal: {exc}", file=sys.stderr)
         return 2
-    n_list = tuple(float(v) for v in _float_vector(args.riccati_N_list))
     if args.y:
         y = _float_vector(args.y)
         if y.size != const.n:
@@ -224,8 +247,6 @@ def cmd_riccati(args) -> int:
         y = ker.basis[:, 0]
     if args.format == "csv":
         runs = [integrate_riccati(const, N, args.T, args.tol_rank) for N in n_list]
-        import io
-
         buf = io.StringIO()
         riccati_csv(runs, buf)
         _write_output(buf.getvalue(), args.out)

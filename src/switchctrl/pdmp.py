@@ -8,21 +8,22 @@ a classical fourth-order one-step scheme on a per-segment uniform grid
 whose spacing never exceeds ``dt`` and whose endpoints are exactly the
 jump times.
 
-Linear-in-state controls (zero, minimal-energy, feedback) make each
-segment an autonomous linear system, possibly after augmenting with an
-adjoint variable; for those the one-step map is the degree-4 Taylor
-polynomial of the segment generator, which is exactly what the classical
-scheme produces on linear autonomous systems.  A recorded linear segment
-of k steps is filled in one block by repeated squaring of the one-step
-matrix (about log2(k) matrix products); an unrecorded one applies its k-th
-power.  General callable controls fall back to stage evaluation.
+Every control the integrators accept makes each segment an autonomous
+linear system, possibly after augmenting with an adjoint variable (the
+minimal-energy adjoint, or the scalar ``z' = brate z`` that carries a
+constant control through input growth).  The one-step map is therefore the
+degree-4 Taylor polynomial of the segment generator, which is exactly what
+the classical scheme produces on linear autonomous systems.  A recorded
+segment of k steps is filled in one block by repeated squaring of the
+one-step matrix (about log2(k) matrix products); an unrecorded one applies
+its k-th power.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -88,8 +89,8 @@ def sample_mode_path(system: SwitchSystem, start: int, t_end: float,
     A zero-rate mode is absorbing.  Reproducible: the draw sequence is one
     exponential plus one uniform per jump, in order.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError("t_end must be positive and finite")
     t = 0.0
     mode = int(start)
     times: list[float] = []
@@ -246,30 +247,6 @@ def _advance_linear(state, G, t0, length, dt, rec, mode):
     return np.linalg.matrix_power(P, k) @ state
 
 
-def _rk4_step(f, t, x, h):
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _advance_rk4(f, x, t0, length, dt, rec, mode):
-    """Classical RK4 with stage-evaluated right-hand side ``f(elapsed, x)``."""
-    if length <= 0.0:
-        return x
-    k = _steps_for(length, dt)
-    h = length / k
-    interior = np.empty((k - 1, x.shape[0])) if rec is not None else None
-    for i in range(k):
-        x = _rk4_step(f, i * h, x, h)
-        if interior is not None and i < k - 1:
-            interior[i] = x
-    if interior is not None and k > 1:
-        rec.add_block(t0 + np.arange(1, k) * h, mode, interior)
-    return x
-
-
 # --------------------------------------------------------------------------
 # forward simulation
 # --------------------------------------------------------------------------
@@ -279,18 +256,15 @@ def _advance_rk4(f, x, t0, length, dt, rec, mode):
 class ForwardSegment:
     """What a control policy provides for one inter-jump segment.
 
-    Exactly one of three shapes:
+    Exactly one of two shapes:
 
     * everything ``None``: zero control;
     * ``adjoint_gen/adjoint0/coupling`` set: the control is linear in an
       adjoint variable ``z`` with ``z' = adjoint_gen z`` and contributes
       ``coupling @ z`` to the state drift (``coupling`` already contains
-      every input-matrix factor), switched off after ``active_until``;
-    * ``ufunc`` set: a raw control value per elapsed time, combined with
-      the input matrix by the integrator.
+      every input-matrix factor), switched off after ``active_until``.
     """
 
-    ufunc: Callable[[float], np.ndarray] | None = None
     adjoint_gen: np.ndarray | None = None
     adjoint0: np.ndarray | None = None
     coupling: np.ndarray | None = None
@@ -316,7 +290,7 @@ def simulate_forward(system: SwitchSystem, x0, policy, path: ModePath,
     recorded, a matrix power when not), so the terminal states agree to
     rounding.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     n = system.n
     x = np.array(x0, dtype=float).reshape(n)
@@ -329,31 +303,24 @@ def simulate_forward(system: SwitchSystem, x0, policy, path: ModePath,
         beta_factor = math.exp(beta_accum)
         seg = policy.segment(system, seg_index, mode, x, beta_factor, b0_init)
         drift = effective_drift(system, mode)
-        brate = system.beta_rate(mode)
-        x = _forward_segment(x, seg, drift, b0_init, brate, beta_factor,
-                             t0, length, dt, rec if record else None, mode, n)
+        x = _forward_segment(x, seg, drift, t0, length, dt,
+                             rec if record else None, mode, n)
         if nxt is not None:
             rec.add(t1, mode, x, SIDE_PRE)
             x = x + system.C[(mode, nxt)] @ x
             rec.add(t1, nxt, x, SIDE_POST)
         else:
             rec.add(t1, mode, x)
-        beta_accum += brate * length
+        beta_accum += system.beta_rate(mode) * length
     if record:
         return rec.build(system.mode_ids)
     return x
 
 
-def _forward_segment(x, seg: ForwardSegment, drift, b0_init, brate,
-                     beta_factor, t0, length, dt, rec, mode, n):
+def _forward_segment(x, seg: ForwardSegment, drift, t0, length, dt, rec,
+                     mode, n):
     if length <= 0.0:
         return x
-    if seg.ufunc is not None:
-        def f(elapsed, state):
-            scale = beta_factor * math.exp(brate * elapsed)
-            return drift @ state + scale * (b0_init @ seg.ufunc(elapsed))
-
-        return _advance_rk4(f, x, t0, length, dt, rec, mode)
     if seg.coupling is None:
         return _advance_linear(x, drift, t0, length, dt, rec, mode)
 
@@ -380,28 +347,15 @@ def _forward_segment(x, seg: ForwardSegment, drift, b0_init, brate,
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class DualSegment:
-    """Per-segment shape of a dual control.
-
-    ``gen`` is the full closed-loop generator when the control is linear in
-    the dual state; otherwise ``vfunc(mark, elapsed)`` gives the control
-    value and the integrator assembles the drift.
-    """
-
-    gen: np.ndarray | None = None
-    vfunc: Callable[[int, float], np.ndarray] | None = None
-
-
 class ZeroDualControl:
     """v = 0: the dual follows the negative adjoint drift and never jumps."""
 
     kind = "zero"
 
-    def segment(self, system, seg_index, mode, y_start):
-        return DualSegment(gen=-system.modes[mode].A.T)
+    def segment(self, system, mode):
+        return -system.modes[mode].A.T
 
-    def jump_value(self, system, seg_index, mode, theta, elapsed, y_pre):
+    def jump_value(self, system, mode, theta, y_pre):
         return np.zeros(system.n)
 
 
@@ -418,48 +372,21 @@ class FeedbackDualControl:
     def __init__(self, F):
         self.F = dict(F)
 
-    def _edge(self, system, mode, theta):
-        return self.F.get((mode, theta))
-
-    def segment(self, system, seg_index, mode, y_start):
-        n = system.n
+    def segment(self, system, mode):
         gen = -np.array(system.modes[mode].A.T)
-        eye = np.eye(n)
+        eye = np.eye(system.n)
         for theta in system.support(mode):
-            Fm = self._edge(system, mode, theta)
+            Fm = self.F.get((mode, theta))
             if Fm is not None:
                 w = system.edge_weight(mode, theta)
                 gen -= w * (system.C[(mode, theta)].T + eye) @ Fm
-        return DualSegment(gen=gen)
+        return gen
 
-    def jump_value(self, system, seg_index, mode, theta, elapsed, y_pre):
-        Fm = self._edge(system, mode, theta)
+    def jump_value(self, system, mode, theta, y_pre):
+        Fm = self.F.get((mode, theta))
         if Fm is None:
             return np.zeros(system.n)
         return Fm @ y_pre
-
-
-class FunctionDualControl:
-    """General dual control from a per-segment factory.
-
-    ``factory(seg_index, mode, y_start)`` returns a callable
-    ``v(mark, elapsed)``; the same callable feeds the drift and the jump.
-    """
-
-    kind = "custom"
-
-    def __init__(self, factory):
-        self.factory = factory
-        self._current = {}
-
-    def segment(self, system, seg_index, mode, y_start):
-        v = self.factory(seg_index, mode, y_start)
-        self._current[seg_index] = v
-        return DualSegment(vfunc=v)
-
-    def jump_value(self, system, seg_index, mode, theta, elapsed, y_pre):
-        v = self._current.pop(seg_index)
-        return np.asarray(v(theta, elapsed), dtype=float)
 
 
 def simulate_dual(system: SwitchSystem, y0, control, path: ModePath,
@@ -469,36 +396,23 @@ def simulate_dual(system: SwitchSystem, y0, control, path: ModePath,
     Between jumps the drift is the negative adjoint drift minus the
     weighted, identity-augmented adjoint jump matrices applied to the
     control values; at a jump with mark theta the control value is added
-    to the state.
+    to the state.  The control is linear in the dual state:
+    ``control.segment(system, mode)`` returns that closed-loop generator
+    and ``control.jump_value(system, mode, theta, y_pre)`` the value added
+    at the jump.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     n = system.n
     y = np.array(y0, dtype=float).reshape(n)
     rec = _Recorder(record, n)
     rec.add(0.0, path.modes[0], y)
-    for seg_index, (t0, t1, mode, nxt) in enumerate(path.segments()):
-        length = t1 - t0
-        seg = control.segment(system, seg_index, mode, y)
-        if seg.gen is not None:
-            y = _advance_linear(y, seg.gen, t0, length, dt,
-                                rec if record else None, mode)
-        else:
-            astar = system.modes[mode].A.T
-            loads = [(theta, system.edge_weight(mode, theta)
-                      * (system.C[(mode, theta)].T + np.eye(n)))
-                     for theta in system.support(mode)]
-
-            def f(elapsed, state):
-                out = -astar @ state
-                for theta, w_mat in loads:
-                    out = out - w_mat @ seg.vfunc(theta, elapsed)
-                return out
-
-            y = _advance_rk4(f, y, t0, length, dt, rec if record else None, mode)
+    for t0, t1, mode, nxt in path.segments():
+        y = _advance_linear(y, control.segment(system, mode), t0, t1 - t0, dt,
+                            rec if record else None, mode)
         if nxt is not None:
             rec.add(t1, mode, y, SIDE_PRE)
-            y = y + control.jump_value(system, seg_index, mode, nxt, t1 - t0, y)
+            y = y + control.jump_value(system, mode, nxt, y)
             rec.add(t1, nxt, y, SIDE_POST)
         else:
             rec.add(t1, mode, y)

@@ -164,7 +164,12 @@ def commuting_hypothesis(system: SwitchSystem, tol: float = 1e-10) -> bool:
 
 
 class ConstantPolicy:
-    """Fixed control vector on every segment."""
+    """Fixed control vector on every segment.
+
+    Under input growth the forcing ``beta_factor e^{brate s} B0 u`` is the
+    linear flow of a scalar ``z' = brate z``, ``z(0) = 1``, coupled into
+    the state through ``beta_factor B0 u``; without growth ``z`` stays 1.
+    """
 
     kind = "custom"
 
@@ -172,33 +177,12 @@ class ConstantPolicy:
         self.u = np.asarray(u, dtype=float)
 
     def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):
-        if system.beta_rate(mode) == 0.0:
-            # affine segment: augment with a frozen scalar carrying B u
-            col = beta_factor * (b0_init @ self.u)
-            return ForwardSegment(
-                adjoint_gen=np.zeros((1, 1)),
-                adjoint0=np.ones(1),
-                coupling=col.reshape(-1, 1),
-            )
-        return ForwardSegment(ufunc=lambda elapsed: self.u)
-
-
-class CallablePolicy:
-    """Piecewise open-loop control from a user function.
-
-    ``func(mode_id, x_at_last_jump, elapsed) -> u`` is evaluated afresh on
-    every segment, matching the restart structure of admissible controls.
-    """
-
-    kind = "custom"
-
-    def __init__(self, func):
-        self.func = func
-
-    def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):
-        mode_id = system.modes[mode].id
-        x_at = np.array(x_start)
-        return ForwardSegment(ufunc=lambda t: self.func(mode_id, x_at, t))
+        col = beta_factor * (b0_init @ self.u)
+        return ForwardSegment(
+            adjoint_gen=np.array([[system.beta_rate(mode)]]),
+            adjoint0=np.ones(1),
+            coupling=col.reshape(-1, 1),
+        )
 
 
 class MinEnergyRestartPolicy:

@@ -223,8 +223,31 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip() == "0.1.0"
 
 
-def test_cli_rejects_malformed_vectors_and_path_counts(spec_dir):
+def test_cli_rejects_malformed_vectors_and_path_counts(spec_dir, capsys):
     assert main(["simulate", str(spec_dir / "cont-switch-bound.json"),
                  "--policy", "zero", "--x0", "a,b"]) == 1
     assert main(["simulate", str(spec_dir / "cont-switch-bound.json"),
                  "--policy", "zero", "--paths", "0"]) == 1
+    # unusable horizons, steps, restart and path counts, and penalty
+    # ladders end in one error line, not a traceback
+    simulate = ["simulate", str(spec_dir / "cont-switch-bound.json")]
+    riccati = ["riccati", str(spec_dir / "nec1-det-not-nec2.json"), "--y", "0,1"]
+    cases = [
+        simulate + ["--policy", "zero", "--dt", "0"],
+        simulate + ["--policy", "zero", "--dt", "nan"],
+        simulate + ["--policy", "zero", "--T", "0"],
+        simulate + ["--policy", "zero", "--T", "inf"],
+        simulate + ["--policy", "min-energy", "--N", "0", "--paths", "200"],
+        simulate + ["--policy", "min-energy", "--paths", "50"],
+        riccati + ["--T", "0"],
+        riccati + ["--T", "nan"],
+        riccati + ["--riccati-N-list", "0"],
+        riccati + ["--riccati-N-list", "1,10"],
+        riccati + ["--riccati-N-list", "1,1,10"],
+        riccati + ["--riccati-N-list", "0,10", "--format", "csv"],
+    ]
+    capsys.readouterr()
+    for argv in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv

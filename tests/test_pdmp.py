@@ -85,6 +85,23 @@ def test_sampling_is_deterministic_given_stream():
     assert a.modes == b.modes
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0, np.inf, np.nan])
+def test_sampling_rejects_unusable_horizon(t_end):
+    # An infinite horizon would never stop drawing jumps.
+    with pytest.raises(ValueError, match="t_end"):
+        sample_mode_path(fixtures.nec1_not_det(), 0, t_end, rng_for(5))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
+def test_simulation_rejects_unusable_step(dt):
+    sys_ = fixtures.nec1_not_det()
+    path = ModePath(1.0, np.array([0.5]), (0, 1))
+    with pytest.raises(ValueError, match="dt"):
+        simulate_forward(sys_, np.ones(2), ZeroPolicy(), path, dt)
+    with pytest.raises(ValueError, match="dt"):
+        simulate_dual(sys_, np.ones(2), ZeroDualControl(), path, dt)
+
+
 # ------------------------------------------------------------ effective drift
 
 
@@ -184,23 +201,107 @@ def test_forward_deterministic_for_equal_inputs():
     assert np.array_equal(t1.states, t2.states)
 
 
+def _rk4_segment(f, x, t0, length, dt, rec, mode):
+    """Classical RK4 with a stage-evaluated right-hand side ``f(elapsed, x)``.
+    It never forms a generator, so it checks the augmented linear segments
+    independently."""
+    if length <= 0.0:
+        return x
+    k = pdmp._steps_for(length, dt)
+    h = length / k
+    for i in range(k):
+        s = i * h
+        k1 = f(s, x)
+        k2 = f(s + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(s + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if i < k - 1:
+            rec.add(t0 + (i + 1) * h, mode, x)
+    return x
+
+
+def rk4_forward(system, x0, law, path, dt):
+    """Stage-evaluated forward oracle.  ``law(mode, x_start)`` returns the
+    segment's control ``u(elapsed)``; the input is ``exp(int beta . gamma)
+    B0(gamma_0)`` as in :func:`pdmp.simulate_forward`."""
+    x = np.array(x0, dtype=float)
+    b0_init = system.modes[path.modes[0]].B0
+    rec = pdmp._Recorder(True, system.n)
+    rec.add(0.0, path.modes[0], x)
+    beta_accum = 0.0
+    for t0, t1, mode, nxt in path.segments():
+        drift = effective_drift(system, mode)
+        brate = system.beta_rate(mode)
+        factor = np.exp(beta_accum)
+        u = law(mode, x)
+
+        def f(elapsed, state):
+            scale = factor * np.exp(brate * elapsed)
+            return drift @ state + scale * (b0_init @ u(elapsed))
+
+        x = _rk4_segment(f, x, t0, t1 - t0, dt, rec, mode)
+        if nxt is not None:
+            rec.add(t1, mode, x, SIDE_PRE)
+            x = x + system.C[(mode, nxt)] @ x
+            rec.add(t1, nxt, x, pdmp.SIDE_POST)
+        else:
+            rec.add(t1, mode, x)
+        beta_accum += brate * (t1 - t0)
+    return rec.build(system.mode_ids)
+
+
+def rk4_dual(system, y0, law, path, dt):
+    """Stage-evaluated dual oracle.  ``law(mode, y_start)`` returns the
+    segment's mark control ``v(theta, elapsed)``, which loads the drift and
+    is added to the state at the jump."""
+    n = system.n
+    y = np.array(y0, dtype=float)
+    rec = pdmp._Recorder(True, n)
+    rec.add(0.0, path.modes[0], y)
+    for t0, t1, mode, nxt in path.segments():
+        astar = system.modes[mode].A.T
+        loads = [(theta, system.edge_weight(mode, theta)
+                  * (system.C[(mode, theta)].T + np.eye(n)))
+                 for theta in system.support(mode)]
+        v = law(mode, y)
+
+        def f(elapsed, state):
+            out = -astar @ state
+            for theta, w_mat in loads:
+                out = out - w_mat @ v(theta, elapsed)
+            return out
+
+        y = _rk4_segment(f, y, t0, t1 - t0, dt, rec, mode)
+        if nxt is not None:
+            rec.add(t1, mode, y, SIDE_PRE)
+            y = y + v(nxt, t1 - t0)
+            rec.add(t1, nxt, y, pdmp.SIDE_POST)
+        else:
+            rec.add(t1, mode, y)
+    return rec.build(system.mode_ids)
+
+
 def test_constant_policy_affine_fast_path_matches_callable():
-    # The augmented (affine) segment integration and the stage-evaluated
-    # callable must agree to integrator accuracy.
-    sys_ = fixtures.cont_switch_bound()
+    # The augmented linear segment (the scalar z' = brate z carries the
+    # input growth) against the stage-evaluated oracle driven by the
+    # callable u(t) = u, without growth (beta = 0) and with it.
+    A0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    A1 = np.array([[0.5, 0.0], [0.0, -0.5]])
+    systems = [fixtures.cont_switch_bound(),
+               growing_input_system([0.4, -0.2], [A0, A1], np.eye(2))]
     path = ModePath(1.0, np.array([0.4]), (0, 1))
     u = np.array([0.3, -0.2])
-
-    class RawConstant:
-        def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):
-            from switchctrl.pdmp import ForwardSegment
-            return ForwardSegment(ufunc=lambda t: u)
-
-    fast = simulate_forward(sys_, np.ones(2), ConstantPolicy(u), path, 1e-3,
-                            record=False)
-    slow = simulate_forward(sys_, np.ones(2), RawConstant(), path, 1e-3,
-                            record=False)
-    assert np.linalg.norm(fast - slow) <= 1e-10
+    x0 = np.ones(2)
+    for sys_ in systems:
+        fast = simulate_forward(sys_, x0, ConstantPolicy(u), path, 1e-3)
+        slow = rk4_forward(sys_, x0, lambda mode, x: (lambda t: u), path, 1e-3)
+        assert np.array_equal(fast.times, slow.times)
+        assert np.array_equal(fast.side, slow.side)
+        assert np.max(np.abs(fast.states - slow.states)) <= 1e-10
+        xT = simulate_forward(sys_, x0, ConstantPolicy(u), path, 1e-3,
+                              record=False)
+        assert np.linalg.norm(xT - slow.final_state) <= 1e-10
 
 
 # ---------------------------------------------------------------------- dual
@@ -417,67 +518,61 @@ def test_forward_growth_factor_accumulates_across_jumps():
 
 
 def test_function_dual_control_matches_feedback_closed_form():
-    # The same dual family written as explicit per-segment mark functions
-    # v(theta, t) = -2 y_seg e^{2t} instead of a feedback gain.
+    # The witness feedback written as explicit per-segment mark functions
+    # v(theta, t) = -2 y_seg e^{2t}, integrated by the stage-evaluated
+    # oracle, against the linear closed-loop path.
     sys_ = fixtures.nec1_det_not_nec2()
     wit_F = feedback_witness(sys_, 0).F
 
-    def factory(seg_index, mode, y_start):
+    def law(mode, y_start):
         y_at = np.array(y_start)
         return lambda theta, elapsed: -2.0 * y_at * np.exp(2.0 * elapsed)
-
-    from switchctrl.pdmp import FunctionDualControl
 
     rng = rng_for(23)
     for _ in range(4):
         path = sample_mode_path(sys_, 0, 1.0, rng)
         y0 = np.array([0.0, 1.0])
-        a = simulate_dual(sys_, y0, FunctionDualControl(factory), path, 1e-3)
+        a = rk4_dual(sys_, y0, law, path, 1e-3)
         b = simulate_dual(sys_, y0, FeedbackDualControl(wit_F), path, 1e-3)
         assert np.array_equal(a.times, b.times)
         assert np.max(np.abs(a.states - b.states)) <= 1e-8
 
 
 def test_dual_drift_weights_multiple_marks():
-    # Mode 0 can jump to two different marks with distinct jump matrices;
-    # a constant-per-mark control gives an affine dual flow with an exact
-    # augmented-exponential solution.
+    # Mode 0 can jump to two different marks with distinct jump matrices
+    # and distinct feedback gains; its closed-loop generator must weight
+    # both marks.  Oracle: expm of -A* - sum_theta w_theta (C_theta* + I)
+    # F_theta per segment, and y + F y at the jump.
     A0 = np.array([[0.3, -0.2], [0.1, 0.0]])
+    A2 = np.array([[0.0, 0.4], [-0.3, 0.1]])
     C01 = np.array([[0.0, 0.5], [0.0, 0.0]])
     C02 = np.array([[0.0, 0.0], [-0.4, 0.0]])
+    C20 = np.array([[0.2, 0.0], [0.0, -0.1]])
     zero = np.zeros((2, 2))
     modes = tuple(
         Mode(id=str(i), embedding=np.array([float(i)]), rate=r, A=a,
              B0=np.array([[1.0], [0.0]]))
-        for i, (r, a) in enumerate([(2.0, A0), (1.0, zero), (1.0, zero)])
+        for i, (r, a) in enumerate([(2.0, A0), (1.0, zero), (1.5, A2)])
     )
     Q = np.array([[0.0, 0.3, 0.7], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    C = {(0, 1): C01, (0, 2): C02, (1, 0): zero, (2, 0): zero}
+    C = {(0, 1): C01, (0, 2): C02, (1, 0): zero, (2, 0): C20}
     sys_ = SwitchSystem(n=2, d=1, m=1, beta=np.zeros(1), modes=modes, Q=Q, C=C)
+    F = {(0, 1): np.array([[0.8, -0.1], [0.2, 0.3]]),
+         (0, 2): np.array([[-0.3, 0.6], [0.0, -0.5]]),
+         (2, 0): np.array([[0.4, 0.0], [-0.2, 0.7]])}
 
-    v1 = np.array([0.8, -0.1])
-    v2 = np.array([-0.3, 0.6])
-
-    from switchctrl.pdmp import FunctionDualControl
-
-    ctrl = FunctionDualControl(
-        lambda seg, mode, y: (lambda theta, t: v1 if theta == 1 else v2))
     y0 = np.array([1.0, 2.0])
     t1 = 0.4
     path = ModePath(1.0, np.array([t1]), (0, 2))
-    traj = simulate_dual(sys_, y0, ctrl, path, 1e-3)
+    traj = simulate_dual(sys_, y0, FeedbackDualControl(F), path, 1e-3)
 
-    # oracle: affine flows via augmented exponentials, jump adds v2
-    def affine(Astar, load, y, length):
-        G = np.zeros((3, 3))
-        G[:2, :2] = -Astar
-        G[:2, 2] = -load
-        return (expm(G * length) @ np.array([*y, 1.0]))[:2]
-
-    load0 = 2.0 * 0.3 * (C01.T + np.eye(2)) @ v1 + 2.0 * 0.7 * (C02.T + np.eye(2)) @ v2
-    y_pre = affine(A0.T, load0, y0, t1)
-    y_post = y_pre + v2
-    # mode 2's only mark is theta = 0, whose control value is v2 per the law
-    load2 = 1.0 * 1.0 * (zero.T + np.eye(2)) @ v2
-    y_end = affine(zero.T, load2, y_post, 1.0 - t1)
+    eye = np.eye(2)
+    gen0 = (-A0.T - 2.0 * 0.3 * (C01.T + eye) @ F[(0, 1)]
+            - 2.0 * 0.7 * (C02.T + eye) @ F[(0, 2)])
+    gen2 = -A2.T - 1.5 * 1.0 * (C20.T + eye) @ F[(2, 0)]
+    y_pre = expm(gen0 * t1) @ y0
+    y_post = y_pre + F[(0, 2)] @ y_pre
+    y_end = expm(gen2 * (1.0 - t1)) @ y_post
+    pre = np.flatnonzero(traj.side == SIDE_PRE)
+    assert np.linalg.norm(traj.states[pre[0]] - y_pre) <= 1e-9
     assert np.linalg.norm(traj.states[-1] - y_end) <= 1e-9

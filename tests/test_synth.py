@@ -227,22 +227,20 @@ def test_commuting_hypothesis_rejects_asymmetric_drift():
 
 
 def test_callable_policy_receives_restart_data():
-    from switchctrl.synth import CallablePolicy
+    from switchctrl.pdmp import ForwardSegment, ZeroPolicy
 
     sys_ = fixtures.cont_switch_bound()
     seen = []
 
-    def law(mode_id, x_at_jump, elapsed):
-        if not seen or seen[-1][0] != mode_id:
-            seen.append((mode_id, np.array(x_at_jump)))
-        return np.zeros(2)
+    class RecordingPolicy:
+        def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):
+            seen.append((system.modes[mode].id, np.array(x_start)))
+            return ForwardSegment()
 
     path = ModePath(1.0, np.array([0.5]), (0, 1))
     x0 = np.array([1.0, 0.0])
-    xT = simulate_forward(sys_, x0, CallablePolicy(law), path, 1e-2, record=False)
+    xT = simulate_forward(sys_, x0, RecordingPolicy(), path, 1e-2, record=False)
     # zero control: matches the zero policy exactly on the same grid
-    from switchctrl.pdmp import ZeroPolicy
-
     ref = simulate_forward(sys_, x0, ZeroPolicy(), path, 1e-2, record=False)
     assert np.allclose(xT, ref, atol=1e-9)
     assert [m for m, _ in seen] == ["0", "1"]
