@@ -49,11 +49,14 @@ def _default_seed() -> int:
 
 def _float_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        vec = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError:
-        print(f"error: expected comma-separated numbers, got {text!r}",
+        vec = None
+    if vec is None or not np.all(np.isfinite(vec)):
+        print(f"error: expected comma-separated finite numbers, got {text!r}",
               file=sys.stderr)
-        raise SystemExit(1) from None
+        raise SystemExit(1)
+    return vec
 
 
 def _usage_error(message: str) -> int:

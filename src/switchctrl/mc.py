@@ -4,6 +4,12 @@ Every trajectory draws from its own counter-based stream keyed by
 ``(seed, trajectory index)``, so the sample set is a pure function of the
 seed.  Per-trajectory results are reduced in fixed order (numpy pairwise
 summation), making aggregates bit-identical across runs with one seed.
+
+``estimate_terminal`` propagates its paths in chunks of ``CHUNK`` through
+``pdmp.simulate_forward_batch``, re-keying one generator per chunk to each
+path's stream.  Chunking never changes the sample set: every terminal
+state is bit-identical to the per-path ``sample_mode_path`` plus
+``simulate_forward`` loop, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -16,14 +22,47 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import SwitchSystem
-from .pdmp import FeedbackDualControl, sample_mode_path, simulate_dual, simulate_forward
+from .pdmp import (
+    FeedbackDualControl,
+    sample_jump_chains,
+    sample_mode_path,
+    simulate_dual,
+    simulate_forward_batch,
+)
 from .synth import null_bound, piecewise_null_policy
+
+
+#: Paths that ``estimate_terminal`` propagates together.  Large enough to
+#: amortize the per-segment numpy calls, small enough to keep the stacked
+#: matrices a few hundred kilobytes.
+CHUNK = 512
+
+
+def _key(seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trajectory: Philox keyed by (seed, index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+
+
+def path_streams(seed: int, indices):
+    """Yield, for each index in turn, one shared generator re-keyed to the
+    stream of ``trajectory_rng(seed, index)`` (key set, counter and buffer
+    zeroed); building a fresh Philox per path costs several times more."""
+    key = _key(seed, 0)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    # the state setter copies the arrays, so one dict serves every path
+    state = {"bit_generator": "Philox",
+             "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for index in indices:
+        key[1] = index
+        bitgen.state = state
+        yield gen
 
 
 @dataclass(frozen=True)
@@ -45,13 +84,20 @@ def estimate_terminal(system: SwitchSystem, x0, policy, T: float,
                       n_samples: int, seed: int, dt: float,
                       func: Callable[[np.ndarray], float],
                       start_mode: int = 0) -> McEstimate:
-    """Mean of ``func(X_T)`` over independent jump paths under ``policy``."""
+    """Mean of ``func(X_T)`` over independent jump paths under ``policy``.
+
+    Path ``i`` follows the stream ``(seed, i)``; the paths run in chunks of
+    ``CHUNK`` through the batched propagator.
+    """
     x0 = np.asarray(x0, dtype=float)
     values = np.empty(n_samples)
-    for i in range(n_samples):
-        path = sample_mode_path(system, start_mode, T, trajectory_rng(seed, i))
-        xT = simulate_forward(system, x0, policy, path, dt, record=False)
-        values[i] = func(xT)
+    for lo in range(0, n_samples, CHUNK):
+        hi = min(lo + CHUNK, n_samples)
+        chains = sample_jump_chains(system, start_mode, T,
+                                    path_streams(seed, range(lo, hi)))
+        X = simulate_forward_batch(system, x0, policy, chains, dt)
+        for i, xT in enumerate(X, start=lo):
+            values[i] = func(xT)
     mean = float(np.sum(values) / n_samples)
     std = float(values.std(ddof=1))
     return McEstimate(mean, std / math.sqrt(n_samples), n_samples, seed, dt)

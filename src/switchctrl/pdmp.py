@@ -17,10 +17,19 @@ the classical scheme produces on linear autonomous systems.  A recorded
 segment of k steps is filled in one block by repeated squaring of the
 one-step matrix (about log2(k) matrix products); an unrecorded one applies
 its k-th power.
+
+``simulate_forward_batch`` gives the terminal states of a whole batch of
+jump chains (``sample_jump_chains``) at once.  It walks the segment index
+across the batch and advances each mode's paths with stacked one-step
+matrices, stacked powers and stacked matrix-vector products that repeat
+the per-path arithmetic of ``simulate_forward`` product for product, so a
+path's terminal state is bit-identical to the per-path one whatever batch
+it is propagated in: batching never changes the sample set.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -82,6 +91,40 @@ class ModePath:
         return int(counts) if counts.ndim == 0 else counts
 
 
+def _chain_tables(system: SwitchSystem):
+    """Per-mode jump rates and cumulative Q rows, the inputs of ``_jump_chain``."""
+    rates = [mode.rate for mode in system.modes]
+    rows = [np.cumsum(row).tolist() for row in system.Q]
+    return rates, rows
+
+
+def _jump_chain(rates, rows, start: int, t_end: float, rng):
+    """Jump times and modes of one chain drawn from ``rng``."""
+    t = 0.0
+    mode = int(start)
+    times: list[float] = []
+    modes = [mode]
+    while True:
+        rate = rates[mode]
+        if rate <= 0.0:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t > t_end:
+            break
+        row = rows[mode]
+        # scale the uniform by the actual row mass so rounding in the row sum
+        # can never push the index past the last positive entry
+        mode = bisect.bisect_right(row, rng.random() * row[-1])
+        times.append(t)
+        modes.append(mode)
+    return times, modes
+
+
+def _check_horizon(t_end: float) -> None:
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError("t_end must be positive and finite")
+
+
 def sample_mode_path(system: SwitchSystem, start: int, t_end: float,
                      rng: np.random.Generator) -> ModePath:
     """Draw a jump chain: exponential holding times, transitions from Q rows.
@@ -89,26 +132,39 @@ def sample_mode_path(system: SwitchSystem, start: int, t_end: float,
     A zero-rate mode is absorbing.  Reproducible: the draw sequence is one
     exponential plus one uniform per jump, in order.
     """
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError("t_end must be positive and finite")
-    t = 0.0
-    mode = int(start)
-    times: list[float] = []
-    modes = [mode]
-    while True:
-        rate = system.modes[mode].rate
-        if rate <= 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t > t_end:
-            break
-        row = np.cumsum(system.Q[mode])
-        # scale the uniform by the actual row mass so rounding in the row sum
-        # can never push the index past the last positive entry
-        mode = int(np.searchsorted(row, rng.random() * row[-1], side="right"))
-        times.append(t)
-        modes.append(mode)
+    _check_horizon(t_end)
+    times, modes = _jump_chain(*_chain_tables(system), start, t_end, rng)
     return ModePath(t_end, np.array(times), tuple(modes))
+
+
+@dataclass(frozen=True)
+class ChainBatch:
+    """Jump chains of a batch of paths on [0, t_end], all from one mode.
+
+    Row ``p`` holds path ``p``: ``modes[p]`` its modes and ``bounds[p]`` its
+    segment bounds (0, the jump times, ``t_end``), padded to the longest
+    path with -1 and ``t_end`` respectively.
+    """
+
+    bounds: np.ndarray
+    modes: np.ndarray
+
+
+def sample_jump_chains(system: SwitchSystem, start: int, t_end: float,
+                       rngs) -> ChainBatch:
+    """One jump chain per generator that ``rngs`` yields, drawn in turn
+    exactly as ``sample_mode_path`` draws it."""
+    _check_horizon(t_end)
+    rates, rows = _chain_tables(system)
+    chains = [_jump_chain(rates, rows, start, t_end, rng) for rng in rngs]
+    width = max(len(modes) for _, modes in chains)
+    bounds = np.full((len(chains), width + 1), float(t_end))
+    bounds[:, 0] = 0.0
+    modes = np.full((len(chains), width), -1)
+    for p, (times, path_modes) in enumerate(chains):
+        bounds[p, 1:len(path_modes)] = times
+        modes[p, :len(path_modes)] = path_modes
+    return ChainBatch(bounds, modes)
 
 
 def effective_drift(system: SwitchSystem, i: int) -> np.ndarray:
@@ -201,10 +257,17 @@ class _Recorder:
 # --------------------------------------------------------------------------
 
 
-def _taylor4(G: np.ndarray, h: float) -> np.ndarray:
-    """One-step matrix of the classical RK4 scheme on ``x' = G x``."""
-    Gh = G * h
-    P = np.eye(G.shape[0]) + Gh
+def matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M @ x`` for every vector ``x`` along the last axis of ``X``; ``M`` is
+    one matrix or a stack.  Each product is the one ``M @ x`` computes."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _taylor4(G: np.ndarray, h) -> np.ndarray:
+    """One-step matrix of the classical RK4 scheme on ``x' = G x``; with an
+    array ``h`` one matrix per step (``G`` one matrix or a stack)."""
+    Gh = G * np.asarray(h)[..., None, None]
+    P = np.eye(G.shape[-1]) + Gh
     term = Gh
     for k in (2.0, 3.0, 4.0):
         term = term @ Gh / k
@@ -214,6 +277,56 @@ def _taylor4(G: np.ndarray, h: float) -> np.ndarray:
 
 def _steps_for(length: float, dt: float) -> int:
     return max(1, int(math.ceil(length / dt - 1e-12)))
+
+
+def _matrix_powers(P: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``P[i]`` to the power ``k[i]`` (k >= 1) for a stack, with the products
+    of ``np.linalg.matrix_power`` in its order: its shortcut ``(P P) P`` for
+    k = 3, otherwise its binary powers from the lowest bit, the squarings
+    masked to the powers that still have bits left."""
+    out = np.empty_like(P)
+    three = k == 3
+    if three.any():
+        Q = P[three]
+        out[three] = (Q @ Q) @ Q
+    idx = np.flatnonzero(~three)
+    if idx.size == 0:
+        return out
+    z = P[idx]
+    result = np.empty_like(z)
+    have = np.zeros(idx.size, dtype=bool)
+    rem = k[idx]
+    while True:
+        bit = (rem & 1).astype(bool)
+        first = bit & ~have
+        result[first] = z[first]
+        more = bit & have
+        if more.any():
+            result[more] = result[more] @ z[more]
+        have |= bit
+        rem = rem >> 1
+        alive = rem > 0
+        if not alive.any():
+            break
+        za = z[alive]
+        z[alive] = za @ za
+    out[idx] = result
+    return out
+
+
+def _advance_batch(X: np.ndarray, G: np.ndarray, length: np.ndarray, dt):
+    """Row ``p`` of ``X`` advanced by ``x' = G x`` (``G`` shared or stacked)
+    over ``length[p]``, as ``_advance_linear`` advances it unrecorded; rows
+    with ``length <= 0`` stay."""
+    live = np.flatnonzero(length > 0.0)
+    if live.size == 0:
+        return X
+    span = length[live]
+    k = np.maximum(1, np.ceil(span / dt - 1e-12)).astype(np.int64)
+    P = _taylor4(G if G.ndim == 2 else G[live], span / k)
+    out = X.copy()
+    out[live] = matvec(_matrix_powers(P, k), X[live])
+    return out
 
 
 def _advance_linear(state, G, t0, length, dt, rec, mode):
@@ -255,6 +368,9 @@ def _advance_linear(state, G, t0, length, dt, rec, mode):
 @dataclass
 class ForwardSegment:
     """What a control policy provides for one inter-jump segment.
+
+    For a batch of paths (``x_start`` with a leading batch axis),
+    ``adjoint0`` and ``coupling`` carry the same leading axis.
 
     Exactly one of two shapes:
 
@@ -298,11 +414,14 @@ def simulate_forward(system: SwitchSystem, x0, policy, path: ModePath,
     rec = _Recorder(record, n)
     rec.add(0.0, path.modes[0], x)
     beta_accum = 0.0
+    drifts: dict[int, np.ndarray] = {}
     for seg_index, (t0, t1, mode, nxt) in enumerate(path.segments()):
         length = t1 - t0
         beta_factor = math.exp(beta_accum)
         seg = policy.segment(system, seg_index, mode, x, beta_factor, b0_init)
-        drift = effective_drift(system, mode)
+        if mode not in drifts:
+            drifts[mode] = effective_drift(system, mode)
+        drift = drifts[mode]
         x = _forward_segment(x, seg, drift, t0, length, dt,
                              rec if record else None, mode, n)
         if nxt is not None:
@@ -342,6 +461,61 @@ def _forward_segment(x, seg: ForwardSegment, drift, t0, length, dt, rec,
     return x
 
 
+def simulate_forward_batch(system: SwitchSystem, x0, policy,
+                           chains: ChainBatch, dt: float) -> np.ndarray:
+    """Terminal states, one row per path of ``chains``, each bit-identical
+    to ``simulate_forward(..., record=False)`` along that path.
+
+    Walks the segment index across the batch.  At each index the paths are
+    grouped by mode: ``policy.segment`` sees the group's entry states and
+    input-growth factors stacked, one stacked flow advances the group, and
+    one stacked jump per target mode moves it.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n = system.n
+    n_paths, width = chains.modes.shape
+    X = np.repeat(np.array(x0, dtype=float).reshape(1, n), n_paths, axis=0)
+    b0_init = system.modes[int(chains.modes[0, 0])].B0
+    beta_accum = np.zeros(n_paths)
+    drifts: dict[int, np.ndarray] = {}
+    for seg_index in range(width):
+        modes = chains.modes[:, seg_index]
+        nxt = (chains.modes[:, seg_index + 1] if seg_index + 1 < width
+               else np.full(n_paths, -1))
+        length = chains.bounds[:, seg_index + 1] - chains.bounds[:, seg_index]
+        for mode in np.unique(modes[modes >= 0]).tolist():
+            idx = np.flatnonzero(modes == mode)
+            beta_factor = np.array([math.exp(v) for v in beta_accum[idx].tolist()])
+            seg = policy.segment(system, seg_index, mode, X[idx], beta_factor,
+                                 b0_init)
+            if mode not in drifts:
+                drifts[mode] = effective_drift(system, mode)
+            X[idx] = _forward_segment_batch(X[idx], seg, drifts[mode],
+                                            length[idx], dt, n)
+            targets = nxt[idx]
+            for theta in np.unique(targets[targets >= 0]).tolist():
+                j = idx[targets == theta]
+                X[j] = X[j] + matvec(system.C[(mode, theta)], X[j])
+            beta_accum[idx] += system.beta_rate(mode) * length[idx]
+    return X
+
+
+def _forward_segment_batch(X, seg: ForwardSegment, drift, length, dt, n):
+    """``_forward_segment`` for stacked entry states and segment lengths."""
+    if seg.coupling is None:
+        return _advance_batch(X, drift, length, dt)
+    Z = np.asarray(seg.adjoint0, dtype=float)
+    m = Z.shape[-1]
+    G = np.zeros((X.shape[0], n + m, n + m))
+    G[:, :n, :n] = drift
+    G[:, :n, n:] = seg.coupling
+    G[:, n:, n:] = seg.adjoint_gen
+    cut = np.minimum(seg.active_until, length)
+    X = _advance_batch(np.concatenate([X, Z], axis=1), G, cut, dt)[:, :n]
+    return _advance_batch(X, drift, length - cut, dt)
+
+
 # --------------------------------------------------------------------------
 # dual simulation
 # --------------------------------------------------------------------------
@@ -371,8 +545,21 @@ class FeedbackDualControl:
 
     def __init__(self, F):
         self.F = dict(F)
+        self._system = None
+        self._gens: dict[int, np.ndarray] = {}
 
     def segment(self, system, mode):
+        """Closed-loop generator of ``mode``, built once per mode for the
+        last system seen (another system starts a fresh cache)."""
+        if system is not self._system:
+            self._system, self._gens = system, {}
+        gen = self._gens.get(mode)
+        if gen is None:
+            gen = self._gens[mode] = self._closed_loop(system, mode)
+            gen.setflags(write=False)
+        return gen
+
+    def _closed_loop(self, system, mode):
         gen = -np.array(system.modes[mode].A.T)
         eye = np.eye(system.n)
         for theta in system.support(mode):

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from .criteria import RefusalError, crit_cont_switch_check
 from .model import SwitchSystem
-from .pdmp import ForwardSegment
+from .pdmp import ForwardSegment, matvec
 from .subspace import DEFAULT_RANK_TOL
 
 
@@ -71,7 +71,8 @@ class GramianFactor:
         return float(self.eigvals[-1] / self.eigvals[0])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.eigvecs @ ((self.eigvecs.T @ rhs) / self.eigvals)
+        """``G^{-1} rhs`` for one right-hand side or a stack of them."""
+        return matvec(self.eigvecs, matvec(self.eigvecs.T, rhs) / self.eigvals)
 
 
 def gramian_factor(system: SwitchSystem, mode_idx: int, horizon: float,
@@ -169,6 +170,7 @@ class ConstantPolicy:
     Under input growth the forcing ``beta_factor e^{brate s} B0 u`` is the
     linear flow of a scalar ``z' = brate z``, ``z(0) = 1``, coupled into
     the state through ``beta_factor B0 u``; without growth ``z`` stays 1.
+    An array ``beta_factor`` gives one segment per path of a batch.
     """
 
     kind = "custom"
@@ -177,11 +179,11 @@ class ConstantPolicy:
         self.u = np.asarray(u, dtype=float)
 
     def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):
-        col = beta_factor * (b0_init @ self.u)
+        col = np.multiply.outer(beta_factor, b0_init @ self.u)
         return ForwardSegment(
             adjoint_gen=np.array([[system.beta_rate(mode)]]),
-            adjoint0=np.ones(1),
-            coupling=col.reshape(-1, 1),
+            adjoint0=np.ones(np.shape(beta_factor) + (1,)),
+            coupling=col[..., None],
         )
 
 
@@ -192,7 +194,9 @@ class MinEnergyRestartPolicy:
     steering control for the segment's mode from the segment's entry
     state, then switches off; later segments apply zero control.  On any
     realization where one of the first N inter-jump gaps reaches ``T/N``
-    the state hits the origin and stays there.
+    the state hits the origin and stays there.  Entry states stacked along
+    a leading axis (with one ``beta_factor`` each) give one segment per
+    path of a batch.
     """
 
     kind = "min_energy"
@@ -214,13 +218,13 @@ class MinEnergyRestartPolicy:
         if seg_index >= self.N:
             return ForwardSegment()
         eAh, eAstarh = self._expm_cache[mode]
-        w = self.factors[mode].solve(eAh @ np.asarray(x_start, dtype=float))
-        z0 = eAstarh @ w
+        w = self.factors[mode].solve(matvec(eAh, np.asarray(x_start, dtype=float)))
+        z0 = matvec(eAstarh, w)
         B0 = system.modes[mode].B0
         return ForwardSegment(
             adjoint_gen=-system.modes[mode].A.T,
             adjoint0=z0,
-            coupling=-beta_factor * (b0_init @ B0.T),
+            coupling=np.multiply.outer(-np.asarray(beta_factor), b0_init @ B0.T),
             active_until=self.horizon,
         )
 

@@ -245,6 +245,12 @@ def test_cli_rejects_malformed_vectors_and_path_counts(spec_dir, capsys):
         riccati + ["--riccati-N-list", "1,10"],
         riccati + ["--riccati-N-list", "1,1,10"],
         riccati + ["--riccati-N-list", "0,10", "--format", "csv"],
+        # non-finite vector entries
+        simulate + ["--policy", "zero", "--x0", "nan,1", "--paths", "100"],
+        simulate + ["--policy", "constant", "--u", "inf,0", "--paths", "1"],
+        ["simulate", str(spec_dir / "nec1-det-not-nec2.json"),
+         "--policy", "feedback-dual", "--y0", "0,-inf", "--paths", "1"],
+        ["riccati", str(spec_dir / "nec1-det-not-nec2.json"), "--y", "nan,1"],
     ]
     capsys.readouterr()
     for argv in cases:

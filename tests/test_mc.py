@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from switchctrl import fixtures
+from switchctrl import fixtures, pdmp
 from switchctrl.criteria import feedback_witness
 from switchctrl.mc import (
+    CHUNK,
     McEstimate,
     dual_kernel_residual,
     estimate_terminal,
     estimate_terminal_msq,
     null_bound_check,
+    path_streams,
     trajectory_rng,
 )
 from switchctrl.model import Mode, SwitchSystem
-from switchctrl.pdmp import ZeroPolicy
-from switchctrl.synth import ConstantPolicy
+from switchctrl.pdmp import ZeroPolicy, sample_mode_path, simulate_forward
+from switchctrl.synth import ConstantPolicy, piecewise_null_policy
+from test_pdmp import growing_input_system
 
 
 def test_streams_are_reproducible_and_distinct():
@@ -112,3 +115,77 @@ def test_dual_kernel_residual_small_under_witness_feedback():
     y0 = wit.v_inf.basis[:, 0]
     worst = dual_kernel_residual(sys_, wit.F, y0, 1.0, 50, 13, 1e-3)
     assert worst <= 1e-6
+
+
+# ------------------------------------------------ batched paths vs the loop
+
+
+def batched_terminal(system, x0, policy, T, n, seed, dt):
+    """Terminal states as ``estimate_terminal`` sees them, and its mean."""
+    states = []
+    est = estimate_terminal(system, x0, policy, T, n, seed, dt,
+                            func=lambda xT: (states.append(xT.copy()),
+                                             float(xT @ xT))[1])
+    return np.array(states), est.mean
+
+
+def loop_terminal(system, x0, policy, T, n, seed, dt):
+    """The per-path reference: one fresh stream and one scalar flow each."""
+    states = np.array([
+        simulate_forward(system, x0, policy,
+                         sample_mode_path(system, 0, T, trajectory_rng(seed, i)),
+                         dt, record=False)
+        for i in range(n)])
+    return states, float(np.sum([x @ x for x in states]) / n)
+
+
+@pytest.mark.parametrize("N, n_paths", [(1, 1025), (4, 100), (16, 300)])
+def test_batched_min_energy_bit_equal_to_loop(N, n_paths):
+    sys_ = fixtures.cont_switch_bound()
+    policy = piecewise_null_policy(sys_, N, 1.0)
+    x0 = np.array([1.0, -0.5])
+    batch, mean = batched_terminal(sys_, x0, policy, 1.0, n_paths, 5, 1e-2)
+    loop, loop_mean = loop_terminal(sys_, x0, policy, 1.0, n_paths, 5, 1e-2)
+    assert np.array_equal(batch, loop)
+    assert mean == loop_mean
+
+
+def test_batched_zero_policy_bit_equal_to_loop():
+    # fine steps make step counts up to 1000, the deepest masked powers
+    sys_ = fixtures.nec1_not_det()
+    x0 = np.array([0.3, 1.0])
+    n_paths = CHUNK + 88
+    batch, mean = batched_terminal(sys_, x0, ZeroPolicy(), 1.0, n_paths, 9, 1e-3)
+    loop, loop_mean = loop_terminal(sys_, x0, ZeroPolicy(), 1.0, n_paths, 9, 1e-3)
+    assert np.array_equal(batch, loop)
+    assert mean == loop_mean
+
+
+def test_batched_constant_policy_under_input_growth():
+    A0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    A1 = np.array([[0.5, 0.0], [0.0, -0.5]])
+    sys_ = growing_input_system([0.4, -0.2], [A0, A1], np.eye(2))
+    x0 = np.array([1.0, 2.0])
+    policy = ConstantPolicy([0.3, -0.2])
+    batch, _ = batched_terminal(sys_, x0, policy, 1.0, 300, 2, 1e-2)
+    loop, _ = loop_terminal(sys_, x0, policy, 1.0, 300, 2, 1e-2)
+    assert np.max(np.abs(batch - loop)) <= 1e-12 * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**64 - 1])
+def test_path_streams_match_trajectory_rng(seed):
+    indices = [0, 1, 10**6]
+    for index, gen in zip(indices, path_streams(seed, indices)):
+        ref = trajectory_rng(seed, index)
+        assert np.array_equal(gen.random(3), ref.random(3))
+        assert np.array_equal(gen.exponential(size=3), ref.exponential(size=3))
+        assert gen.random() == ref.random()
+
+
+def test_masked_powers_match_matrix_power():
+    rng = np.random.default_rng(3)
+    k = np.array([1, 2, 3, 4, 5, 7, 8, 1000, 3, 1, 1000, 5])
+    P = np.eye(3) + 1e-3 * rng.standard_normal((k.size, 3, 3))
+    out = pdmp._matrix_powers(P, k)
+    for Pi, ki, oi in zip(P, k, out):
+        assert np.array_equal(oi, np.linalg.matrix_power(Pi, int(ki)))

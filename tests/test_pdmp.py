@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -401,6 +402,22 @@ def test_dual_feedback_confined_to_witness_subspace():
         traj = simulate_dual(sys_, wit.v_inf.basis[:, 0], ctrl, path, 1e-3)
         off = np.max(np.linalg.norm(traj.states @ perp.T, axis=1))
         assert off <= 1e-6
+
+
+def test_feedback_dual_generator_cached_per_mode_and_system():
+    sys_ = fixtures.nec1_det_not_nec2()
+    wit = feedback_witness(sys_, 0)
+    ctrl = FeedbackDualControl(wit.F)
+    gen = ctrl.segment(sys_, 0)
+    assert ctrl.segment(sys_, 0) is gen
+    assert not gen.flags.writeable
+    # an equal-shaped system with other drifts must not reuse the cache
+    other = dataclasses.replace(sys_, modes=tuple(
+        dataclasses.replace(m, A=2.0 * m.A) for m in sys_.modes))
+    fresh = FeedbackDualControl(wit.F).segment(other, 0)
+    assert np.array_equal(ctrl.segment(other, 0), fresh)
+    assert not np.array_equal(fresh, gen)
+    assert np.array_equal(ctrl.segment(sys_, 0), gen)
 
 
 def test_duality_pairing_identity():

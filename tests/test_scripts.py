@@ -32,6 +32,7 @@ def run_script(name, *args):
     ("run_examples.py", ["nec1-det-not-nec2"]),
     ("viability_study.py", []),
     ("bound_study.py", ["--help"]),
+    ("mc_agreement.py", ["--seeds", "1", "--max-paths", "50"]),
 ])
 def test_script_exits_zero(name, args):
     proc = run_script(name, *args)
