@@ -12,7 +12,7 @@ from switchctrl import fixtures
 from switchctrl.report import check_report, report_bytes
 
 PINNED = ("nec1-not-det", "nec1-det-not-nec2", "nec2-det-not-nec1",
-          "ctrl-not-suf1")
+          "ctrl-not-suf1", "cont-switch-bound")
 
 
 def main():

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import RefusalError, feedback_witness
-from .mc import dual_kernel_residual, estimate_terminal_msq, trajectory_rng
+from .mc import dual_kernel_residual, estimate_terminal_msq, trajectory_rng, within_bound
 from .model import (
     NotConstantError,
     SpecFormatError,
@@ -37,7 +37,7 @@ from .pdmp import (
     simulate_forward,
 )
 from .report import EXIT_FOR_VERDICT, check_report, report_bytes
-from .riccati import riccati_csv, integrate_riccati, viability_test
+from .riccati import DEFAULT_N_LIST, riccati_csv, integrate_riccati, viability_test
 from .subspace import DEFAULT_RANK_TOL
 from .synth import ConstantPolicy, SingularGramianError, null_bound, piecewise_null_policy
 from .verify import BUNDLES, verify_example
@@ -177,8 +177,7 @@ def cmd_simulate(args) -> int:
         bound = null_bound(system, x0, args.T, args.N)
         summary["N"] = args.N
         summary["bound"] = bound
-        summary["bound_pass"] = bool(est.mean <= bound + 3.0 * est.std_error
-                                     + 1e-12 * float(x0 @ x0))
+        summary["bound_pass"] = within_bound(est, bound, x0)
     _write_output(canonical_json(summary).decode(), args.out)
     return 0
 
@@ -329,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--y", default=None, help="kernel vector to classify")
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--riccati-N-list", default="1,10,100,1000",
+    p.add_argument("--riccati-N-list",
+                   default=",".join(f"{N:g}" for N in DEFAULT_N_LIST),
                    help="penalty ladder, comma separated")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_riccati)

@@ -66,19 +66,31 @@ class WitnessInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModeVerdict:
-    """Per-mode outcome: the witness subspace and its stabilized chain."""
+    """Per-mode outcome: a criterion's stabilized chain.  The witness is its
+    last entry, and the mode passes exactly when the witness is {0}."""
 
-    passed: bool
-    witness: Subspace
     chain: tuple[Subspace, ...]
+
+    @property
+    def witness(self) -> Subspace:
+        return self.chain[-1]
+
+    @property
+    def passed(self) -> bool:
+        return self.witness.is_zero
 
 
 @dataclass(frozen=True)
 class CriterionVerdict:
+    """Per-mode verdicts of one criterion; it passes when every mode does."""
+
     name: str
     per_mode: Mapping[str, ModeVerdict]
-    overall: bool
     details: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def overall(self) -> bool:
+        return all(v.passed for v in self.per_mode.values())
 
     def witness(self, mode_id: str) -> Subspace:
         return self.per_mode[mode_id].witness
@@ -215,6 +227,27 @@ def _mode_generator(system: SwitchSystem, i: int) -> Generator:
     return (system.modes[i].A.T, cstars)
 
 
+def _strict_limit(system: SwitchSystem, modes, seed: Subspace,
+                  rank_tol: float) -> Subspace:
+    """Largest subspace of ``seed`` strictly invariant under every mode in
+    ``modes`` (the chain limit of nec2 and the feedback witness)."""
+    gens = [_mode_generator(system, j) for j in modes]
+    return strict_invariant_fixpoint(gens, seed, rank_tol)[0]
+
+
+def _kalman_verdict(name: str, system: SwitchSystem, drifts,
+                    rank_tol: float) -> CriterionVerdict:
+    """Observability-chain verdicts of the per-mode pairs ``(drifts[i], B0(i))``,
+    with their Kalman ranks in ``details['kalman_ranks']``."""
+    per_mode = {}
+    ranks = {}
+    for mode, drift in zip(system.modes, drifts):
+        per_mode[mode.id] = ModeVerdict(
+            _observability_chain(drift.T, mode.B0.T, rank_tol))
+        ranks[mode.id] = kalman_rank(drift, mode.B0, rank_tol)
+    return CriterionVerdict(name, per_mode, {"kalman_ranks": ranks})
+
+
 # --------------------------------------------------------------------------
 # criteria
 # --------------------------------------------------------------------------
@@ -228,21 +261,12 @@ def nec1_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
     Kalman rank of the non-transposed pair; ``details['consistent']``
     records the agreement.
     """
-    per_mode = {}
-    ranks = {}
-    consistent = True
-    for i, mode in enumerate(system.modes):
-        drift = effective_drift(system, i)
-        chain = _observability_chain(drift.T, mode.B0.T, rank_tol)
-        witness = chain[-1]
-        rank = kalman_rank(drift, mode.B0, rank_tol)
-        ranks[mode.id] = rank
-        if (rank == system.n) != witness.is_zero:
-            consistent = False
-        per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, chain)
-    overall = all(v.passed for v in per_mode.values())
-    return CriterionVerdict("nec1", per_mode, overall,
-                            {"kalman_ranks": ranks, "consistent": consistent})
+    drifts = [effective_drift(system, i) for i in range(system.n_modes)]
+    v = _kalman_verdict("nec1", system, drifts, rank_tol)
+    ranks = v.details["kalman_ranks"]
+    consistent = all((ranks[mid] == system.n) == mv.passed
+                     for mid, mv in v.per_mode.items())
+    return CriterionVerdict("nec1", v.per_mode, {**v.details, "consistent": consistent})
 
 
 def nec2_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> CriterionVerdict:
@@ -261,13 +285,10 @@ def nec2_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
         for k in range(system.n_modes + 1):
             key = (tuple(sorted(accessible_modes(system, i, k))), mode.B0.tobytes())
             if key not in limits:
-                gens = [_mode_generator(system, j) for j in key[0]]
-                limits[key] = strict_invariant_fixpoint(gens, seed, rank_tol)[0]
+                limits[key] = _strict_limit(system, key[0], seed, rank_tol)
             chain.append(limits[key])
-        witness = chain[-1]
-        per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, tuple(chain))
-    overall = all(v.passed for v in per_mode.values())
-    return CriterionVerdict("nec2", per_mode, overall,
+        per_mode[mode.id] = ModeVerdict(tuple(chain))
+    return CriterionVerdict("nec2", per_mode,
                             {"b0_mode_varying": system.b0_mode_varying()})
 
 
@@ -285,9 +306,8 @@ def suf1_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
         astar = mode.A.T
         ker = kernel(mode.B0.T, rank_tol)
         if mode.rate <= 0.0:
-            chain = _observability_chain(astar, mode.B0.T, rank_tol)
-            witness = chain[-1]
-            per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, chain)
+            per_mode[mode.id] = ModeVerdict(
+                _observability_chain(astar, mode.B0.T, rank_tol))
             continue
         cols = [(system.C[(i, j)].T + np.eye(n)) @ ker.basis for j in system.support(i)]
         fixed_image = image(np.hstack(cols), rank_tol) if (cols and ker.dim) \
@@ -297,11 +317,8 @@ def suf1_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
             return V.intersect(
                 preimage(astar, V.sum(fixed_image, rank_tol), rank_tol), rank_tol)
 
-        chain = _decreasing_chain(step, step(ker))
-        witness = chain[-1]
-        per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, chain)
-    overall = all(v.passed for v in per_mode.values())
-    return CriterionVerdict("suf1", per_mode, overall)
+        per_mode[mode.id] = ModeVerdict(_decreasing_chain(step, step(ker)))
+    return CriterionVerdict("suf1", per_mode)
 
 
 def crit_equiv_check(csystem: ConstantSystem,
@@ -314,22 +331,8 @@ def crit_equiv_check(csystem: ConstantSystem,
     """
     seed = kernel(csystem.B.T, rank_tol)
     gens = [(csystem.A.T, [c.T for _, c in csystem.marks])]
-    witness, chain = strict_invariant_fixpoint(gens, seed, rank_tol)
-    verdict = ModeVerdict(witness.is_zero, witness, chain)
-    return CriterionVerdict("crit_equiv", {"constant": verdict}, witness.is_zero)
-
-
-def _plain_invariance_verdict(system: SwitchSystem, name: str,
-                              rank_tol: float) -> CriterionVerdict:
-    per_mode = {}
-    ranks = {}
-    for mode in system.modes:
-        chain = _observability_chain(mode.A.T, mode.B0.T, rank_tol)
-        witness = chain[-1]
-        ranks[mode.id] = kalman_rank(mode.A, mode.B0, rank_tol)
-        per_mode[mode.id] = ModeVerdict(witness.is_zero, witness, chain)
-    overall = all(v.passed for v in per_mode.values())
-    return CriterionVerdict(name, per_mode, overall, {"kalman_ranks": ranks})
+    _, chain = strict_invariant_fixpoint(gens, seed, rank_tol)
+    return CriterionVerdict("crit_equiv", {"constant": ModeVerdict(chain)})
 
 
 def crit_cont_switch_check(system: SwitchSystem,
@@ -345,7 +348,8 @@ def crit_cont_switch_check(system: SwitchSystem,
                  if np.any(c)]
     if offending:
         raise RefusalError("C-nonzero", ", ".join(offending))
-    return _plain_invariance_verdict(system, "crit_cont_switch", rank_tol)
+    return _kalman_verdict("crit_cont_switch", system,
+                           [m.A for m in system.modes], rank_tol)
 
 
 def det_kalman_check(system: SwitchSystem,
@@ -356,7 +360,8 @@ def det_kalman_check(system: SwitchSystem,
     independent of the stochastic criteria, so it never contributes to the
     overall verdict.
     """
-    return _plain_invariance_verdict(system, "det_kalman", rank_tol)
+    return _kalman_verdict("det_kalman", system, [m.A for m in system.modes],
+                           rank_tol)
 
 
 # --------------------------------------------------------------------------
@@ -384,22 +389,23 @@ class FeedbackWitness:
     residual: float
 
 
+#: Largest feedback residual a witness may leave (strict invariance gives 0).
+WITNESS_RESIDUAL_TOL = 1e-8
+
+
 def feedback_witness(system: SwitchSystem, start: int,
-                     rank_tol: float = DEFAULT_RANK_TOL,
-                     residual_tol: float = 1e-8) -> FeedbackWitness | None:
+                     rank_tol: float = DEFAULT_RANK_TOL) -> FeedbackWitness | None:
     """Build per-edge feedback matrices certifying a nonzero chain limit.
 
     Returns ``None`` when the limit subspace is trivial.  The unknown
     feedback values are solved per witness basis vector by least squares
     over coefficients in the witness subspace; a residual above
-    ``residual_tol`` raises :class:`WitnessInfeasibleError` because strict
-    invariance guarantees an exact solution.
+    ``WITNESS_RESIDUAL_TOL`` raises :class:`WitnessInfeasibleError` because
+    strict invariance guarantees an exact solution.
     """
     mode0 = system.modes[start]
-    seed = kernel(mode0.B0.T, rank_tol)
     acc = tuple(sorted(accessible_modes(system, start, system.n_modes)))
-    gens = [_mode_generator(system, j) for j in acc]
-    v_inf, _ = strict_invariant_fixpoint(gens, seed, rank_tol)
+    v_inf = _strict_limit(system, acc, kernel(mode0.B0.T, rank_tol), rank_tol)
     if v_inf.is_zero:
         return None
 
@@ -424,9 +430,9 @@ def feedback_witness(system: SwitchSystem, start: int,
         for pos, j in enumerate(sup):
             coef = sol[pos * r:(pos + 1) * r]  # (r, r) coefficients in the basis
             F[(i, j)] = P @ coef @ P.T
-    if worst > residual_tol:
+    if worst > WITNESS_RESIDUAL_TOL:
         raise WitnessInfeasibleError(
-            f"feedback residual {worst:.3e} exceeds {residual_tol:.1e}; "
+            f"feedback residual {worst:.3e} exceeds {WITNESS_RESIDUAL_TOL:.1e}; "
             "numerical rank decisions are inconsistent"
         )
     return FeedbackWitness(mode0.id, v_inf, F, acc, worst)

@@ -148,6 +148,12 @@ class NullBoundReport:
 BOUND_FLOOR = 1e-12
 
 
+def within_bound(est: McEstimate, bound: float, x0: np.ndarray) -> bool:
+    """Whether ``est.mean <= bound + 3 std_error + BOUND_FLOOR |x0|^2``."""
+    slack = 3.0 * est.std_error + BOUND_FLOOR * float(x0 @ x0)
+    return bool(est.mean <= bound + slack)
+
+
 def null_bound_check(system: SwitchSystem, x0, T: float,
                      N_values: Sequence[int], n_samples: int, seed: int,
                      dt: float = 1e-2, start_mode: int = 0) -> NullBoundReport:
@@ -176,8 +182,7 @@ def null_bound_check(system: SwitchSystem, x0, T: float,
         est = estimate_terminal_msq(system, x0, policy, T, n_samples, seed, dt,
                                     start_mode)
         bound = null_bound(system, x0, T, int(N))
-        slack = 3.0 * est.std_error + BOUND_FLOOR * float(x0 @ x0)
-        passed = (est.mean <= bound + slack) if commuting else None
+        passed = within_bound(est, bound, x0) if commuting else None
         checks.append(BoundCheck(int(N), est, bound, commuting, passed))
     monotone_ok = True
     for a, b in zip(checks, checks[1:]):
@@ -195,9 +200,9 @@ def dual_kernel_residual(system: SwitchSystem, F, y0, T: float,
     bstar = system.modes[start_mode].B0.T
     ctrl = FeedbackDualControl(F)
     worst = 0.0
-    for i in range(n_paths):
-        path = sample_mode_path(system, start_mode, T, trajectory_rng(seed, i))
-        traj = simulate_dual(system, y0, ctrl, path, dt, record=True)
+    for rng in path_streams(seed, range(n_paths)):
+        path = sample_mode_path(system, start_mode, T, rng)
+        traj = simulate_dual(system, y0, ctrl, path, dt)
         vals = np.linalg.norm(traj.states @ bstar.T, axis=1)
         worst = max(worst, float(vals.max()))
     return worst

@@ -390,8 +390,6 @@ class ForwardSegment:
 class ZeroPolicy:
     """No control; the state follows the compensated drift and the jumps."""
 
-    kind = "zero"
-
     def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):
         return ForwardSegment()
 
@@ -524,8 +522,6 @@ def _forward_segment_batch(X, seg: ForwardSegment, drift, length, dt, n):
 class ZeroDualControl:
     """v = 0: the dual follows the negative adjoint drift and never jumps."""
 
-    kind = "zero"
-
     def segment(self, system, mode):
         return -system.modes[mode].A.T
 
@@ -540,8 +536,6 @@ class FeedbackDualControl:
     keeps the dual state inside the witness subspace along every path.
     Edges without a matrix fall back to zero.
     """
-
-    kind = "feedback_witness_dual"
 
     def __init__(self, F):
         self.F = dict(F)
@@ -577,8 +571,8 @@ class FeedbackDualControl:
 
 
 def simulate_dual(system: SwitchSystem, y0, control, path: ModePath,
-                  dt: float, record: bool = True):
-    """Integrate the dual state along a fixed mode path.
+                  dt: float) -> Trajectory:
+    """Recorded :class:`Trajectory` of the dual state along a fixed mode path.
 
     Between jumps the drift is the negative adjoint drift minus the
     weighted, identity-augmented adjoint jump matrices applied to the
@@ -592,17 +586,15 @@ def simulate_dual(system: SwitchSystem, y0, control, path: ModePath,
         raise ValueError("dt must be positive")
     n = system.n
     y = np.array(y0, dtype=float).reshape(n)
-    rec = _Recorder(record, n)
+    rec = _Recorder(True, n)
     rec.add(0.0, path.modes[0], y)
     for t0, t1, mode, nxt in path.segments():
         y = _advance_linear(y, control.segment(system, mode), t0, t1 - t0, dt,
-                            rec if record else None, mode)
+                            rec, mode)
         if nxt is not None:
             rec.add(t1, mode, y, SIDE_PRE)
             y = y + control.jump_value(system, mode, nxt, y)
             rec.add(t1, nxt, y, SIDE_POST)
         else:
             rec.add(t1, mode, y)
-    if record:
-        return rec.build(system.mode_ids)
-    return y
+    return rec.build(system.mode_ids)

@@ -44,11 +44,12 @@ def subspace_dict(sub: Subspace) -> dict:
 def verdict_dict(v: CriterionVerdict) -> dict:
     per_mode = {}
     for mode_id, mv in v.per_mode.items():
+        chain = [subspace_dict(s) for s in mv.chain]
         per_mode[mode_id] = {
             "pass": mv.passed,
-            "witness": subspace_dict(mv.witness),
+            "witness": chain[-1],  # the witness is the chain's last entry
             "chain_dims": [s.dim for s in mv.chain],
-            "chain": [subspace_dict(s) for s in mv.chain],
+            "chain": chain,
         }
     out = {"name": v.name, "overall": v.overall, "per_mode": per_mode}
     if v.details:

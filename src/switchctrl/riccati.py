@@ -28,6 +28,11 @@ from .subspace import DEFAULT_RANK_TOL, image, kernel
 #: Default penalty ladder for the viability test.
 DEFAULT_N_LIST = (1.0, 10.0, 100.0, 1000.0)
 
+#: Plateau, power-growth and decay thresholds of :func:`viability_test`.
+GROWTH_TOL = 0.05
+POWER_THRESHOLD = 0.5
+DECAY_FACTOR = 2.0 / 3.0
+
 
 class RiccatiPositivityError(RuntimeError):
     """Step underflow at ``t``: every trial step down to ``h < 1e-14 T``
@@ -177,22 +182,19 @@ class ViabilityReport:
 
 def viability_test(csystem: ConstantSystem, y, T: float,
                    N_list=DEFAULT_N_LIST,
-                   growth_tol: float = 0.05,
-                   power_threshold: float = 0.5,
-                   decay_factor: float = 2.0 / 3.0,
                    rank_tol: float = DEFAULT_RANK_TOL) -> ViabilityReport:
     """Classify a kernel vector as viable or nonviable under the penalty ladder.
 
     Decision rule, on the local growth exponents
     ``p_k = log(q_{k+1}/q_k) / log(N_{k+1}/N_k)``:
 
-    * ``viable`` when the final ratio stays below ``1 + growth_tol`` (the
+    * ``viable`` when the final ratio stays below ``1 + GROWTH_TOL`` (the
       forms have plateaued), or when the final exponent has dropped below
-      ``power_threshold`` *and* below ``decay_factor`` times its maximum:
+      ``POWER_THRESHOLD`` *and* below ``DECAY_FACTOR`` times its maximum:
       a bounded sequence drives its exponent to zero, and on desk-scale
       ladders the decay is visible long before the ratio itself settles.
     * ``nonviable`` when the final exponent still reaches
-      ``power_threshold``: sustained power growth in the penalty weight.
+      ``POWER_THRESHOLD``: sustained power growth in the penalty weight.
     * ``indeterminate`` otherwise; reported, never guessed.
 
     A vector outside ``ker(B*)`` is nonviable outright.  All intermediate
@@ -232,13 +234,13 @@ def viability_test(csystem: ConstantSystem, y, T: float,
              "local powers " + ", ".join(f"{p:.4g}" for p in local),
              "heuristic verdict: algebraic criteria remain authoritative"]
     p_last, p_max = local[-1], max(local)
-    if last_ratio <= 1.0 + growth_tol:
+    if last_ratio <= 1.0 + GROWTH_TOL:
         verdict = "viable"
         notes.append("plateau reached")
-    elif p_last >= power_threshold:
+    elif p_last >= POWER_THRESHOLD:
         verdict = "nonviable"
         notes.append("sustained power growth in the penalty weight")
-    elif p_last <= decay_factor * p_max:
+    elif p_last <= DECAY_FACTOR * p_max:
         verdict = "viable"
         notes.append("growth exponent decaying: forms saturate")
     else:

@@ -21,6 +21,9 @@ DEFAULT_RANK_TOL = 1e-9
 #: Tolerance for the orthonormality invariant of stored bases.
 ORTHONORMALITY_TOL = 1e-10
 
+#: Entries of a canonical basis vector below this magnitude are set to zero.
+SNAP_TOL = 1e-12
+
 
 def _as_float_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
@@ -151,13 +154,13 @@ class Subspace:
 
     # -- serialization support ----------------------------------------------
 
-    def canonical_basis(self, snap_tol: float = 1e-12) -> np.ndarray:
+    def canonical_basis(self) -> np.ndarray:
         """Deterministic representative basis, independent of construction path.
 
         Built by pivoted Gram-Schmidt on the projector columns with a sign
         convention (largest-magnitude entry positive) and snapping of
-        entries below ``snap_tol``.  The snapped representative spans the
-        same subspace up to ``n * snap_tol``, well inside every reporting
+        entries below ``SNAP_TOL`` (1e-12).  The snapped representative spans
+        the same subspace up to ``n * SNAP_TOL``, well inside every reporting
         tolerance used here.
         """
         n, k = self.ambient_dim, self.dim
@@ -172,7 +175,7 @@ class Subspace:
             i = int(np.argmax(np.abs(v)))
             if v[i] < 0:
                 v = -v
-            v = np.where(np.abs(v) < snap_tol, 0.0, v)
+            v = np.where(np.abs(v) < SNAP_TOL, 0.0, v)
             v = v / np.linalg.norm(v)
             cols.append(v)
             R = R - np.outer(v, v @ R)

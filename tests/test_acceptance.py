@@ -208,8 +208,7 @@ def test_a7e_minimal_energy_exact_steering():
                 # the 1e-8 contract is only meaningful on conditioned pairs
                 continue
             y = rng.standard_normal(n)
-            policy = MinEnergyRestartPolicy(sys_, 1, 1.0, {0: factor},
-                                            commuting_hypothesis(sys_))
+            policy = MinEnergyRestartPolicy(sys_, 1, 1.0)
             path = ModePath(1.0, np.array([]), (0,))
             xT = simulate_forward(sys_, y, policy, path, 1e-4, record=False)
             assert np.linalg.norm(xT) <= 1e-8 * max(np.linalg.norm(y), 1e-12), \

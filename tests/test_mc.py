@@ -117,6 +117,24 @@ def test_dual_kernel_residual_small_under_witness_feedback():
     assert worst <= 1e-6
 
 
+def test_dual_kernel_residual_equals_fresh_stream_loop():
+    # The shared re-keyed streams draw the same chains as one generator per
+    # path.  Half the witness feedback from a point off the witness line
+    # leaves the kernel, so the residual depends on every path's jumps
+    # (another seed gives another value).
+    sys_ = fixtures.nec1_det_not_nec2()
+    F = {edge: 0.5 * Fe for edge, Fe in feedback_witness(sys_, 0).F.items()}
+    y0 = np.array([0.6, 0.8])
+    bstar = sys_.modes[0].B0.T
+    ref = 0.0
+    for i in range(40):
+        path = sample_mode_path(sys_, 0, 1.0, trajectory_rng(21, i))
+        traj = pdmp.simulate_dual(sys_, y0, pdmp.FeedbackDualControl(F), path, 1e-2)
+        ref = max(ref, float(np.linalg.norm(traj.states @ bstar.T, axis=1).max()))
+    assert dual_kernel_residual(sys_, F, y0, 1.0, 40, 21, 1e-2) == ref
+    assert dual_kernel_residual(sys_, F, y0, 1.0, 40, 22, 1e-2) != ref
+
+
 # ------------------------------------------------ batched paths vs the loop
 
 

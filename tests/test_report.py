@@ -19,6 +19,7 @@ GOLDEN = {
     "nec1-det-not-nec2": "report_nec1_det_not_nec2.json",
     "nec2-det-not-nec1": "report_nec2_det_not_nec1.json",
     "ctrl-not-suf1": "report_ctrl_not_suf1.json",
+    "cont-switch-bound": "report_cont_switch_bound.json",
 }
 
 

@@ -2,8 +2,9 @@
 
 Each driver runs in a child process against the package this process
 imports; a removed option or renamed function shows up as a nonzero exit.
-The two drivers that write files (``regen_golden_reports.py`` and
-``write_fixture_specs.py``) are left out.
+``regen_golden_reports.py`` writes into a temporary directory, whose files
+must equal the pinned reports under ``tests/data``;
+``write_fixture_specs.py``, which writes into ``specs/``, is left out.
 """
 
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import switchctrl
+from test_report import GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +40,16 @@ def test_script_exits_zero(name, args):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_regen_golden_reports_reproduces_tests_data(tmp_path):
+    # the script's PINNED, the files in tests/data and test_report's GOLDEN
+    # must name the same reports, byte for byte
+    proc = run_script("regen_golden_reports.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    data = ROOT / "tests" / "data"
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in data.glob("report_*.json"))
+    assert written == sorted(GOLDEN.values())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name

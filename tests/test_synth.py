@@ -115,9 +115,7 @@ def test_min_energy_steers_random_controllable_pairs():
         sys_ = single_mode_system(A, B)
         y = rng.standard_normal(n)
         h = 1.0
-        policy = MinEnergyRestartPolicy(
-            sys_, 1, h, {0: gramian_factor(sys_, 0, h)},
-            commuting_hypothesis(sys_))
+        policy = MinEnergyRestartPolicy(sys_, 1, h)
         path = ModePath(h, np.array([]), (0,))
         xT = simulate_forward(sys_, y, policy, path, 1e-4, record=False)
         assert np.linalg.norm(xT) <= 1e-8 * max(np.linalg.norm(y), 1e-12)
@@ -266,11 +264,8 @@ def test_min_energy_steering_with_growing_input():
     mode = Mode(id="g", embedding=np.array([1.0]), rate=0.0, A=A, B0=B)
     sys_ = SwitchSystem(n=2, d=1, m=1, beta=np.array([0.3]), modes=(mode,),
                         Q=np.zeros((1, 1)), C={})
-    from switchctrl.synth import gramian_factor as gf
-
     y = np.array([1.3, -0.7])
-    policy = MinEnergyRestartPolicy(sys_, 1, 1.0, {0: gf(sys_, 0, 1.0)},
-                                    commuting_hypothesis(sys_))
+    policy = MinEnergyRestartPolicy(sys_, 1, 1.0)
     path = ModePath(1.0, np.array([]), (0,))
     xT = simulate_forward(sys_, y, policy, path, 1e-4, record=False)
     assert np.linalg.norm(xT) <= 1e-8 * np.linalg.norm(y)
