@@ -4,7 +4,9 @@ Each criterion produces, per starting mode, a *witness* subspace inside
 ``ker(B0*)``; the criterion passes exactly when the witness is the zero
 subspace.  All largest-subspace computations run the same decreasing
 fixed-point iteration from their seed, so every verdict carries the full
-inclusion chain down to stabilization.
+inclusion chain down to stabilization.  Each step is one rank decision
+(``restricted_preimage``); orthogonal changes of state or input coordinates
+and mode relabellings move its singular values only by round-off.
 
 Criterion names
 ---------------
@@ -44,6 +46,8 @@ from .subspace import (
     numerical_rank,
     orthonormalize,
     preimage,
+    restricted_preimage,
+    unit_norm,
 )
 
 
@@ -116,30 +120,18 @@ def kalman_rank(A, B, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 def _observability_chain(M, Bstar, rank_tol) -> tuple[Subspace, ...]:
     """Decreasing chain V_j = ker[Bstar; Bstar M; ...; Bstar M^j], j = 0..n.
 
-    Row blocks are rescaled to unit norm (which leaves every kernel
-    unchanged) so that growing powers of M cannot drown out early blocks.
-    The last step is a Cayley-Hamilton repeat, so the chain always ends
-    with two equal entries.
+    Built as V_0 = ker(Bstar), V_{j+1} = V_0 ∩ M^{-1} V_j, one restricted
+    kernel per step and no power of M.  The first repeat is the fixed point,
+    so it ends the recursion and fills the chain up to its n + 1 entries.
     """
-    M = np.asarray(M, dtype=float)
-    Bstar = np.atleast_2d(np.asarray(Bstar, dtype=float))
-    n = M.shape[0]
-    rows = []
-    chain = []
-    R = Bstar
-    for _ in range(n + 1):
-        norm = np.linalg.norm(R, 2)
-        rows.append(R / norm if norm > 0 else R)
-        chain.append(kernel(np.vstack(rows), rank_tol, scale=1.0))
-        R = R @ M
-    return tuple(chain)
+    M = unit_norm(M)
+    V0 = kernel(Bstar, rank_tol)
+    chain = _decreasing_chain(lambda V: restricted_preimage(V0, [(M, V)], rank_tol), V0)
+    return chain + chain[-1:] * (M.shape[0] + 1 - len(chain))
 
 
 def unobservable_subspace(M, Bstar, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """Largest M-invariant subspace contained in ker(Bstar).
-
-    Equals the intersection of ker(Bstar M^k) over k < n.
-    """
+    """Largest M-invariant subspace in ker(Bstar): ker(Bstar M^k) over all k < n."""
     return _observability_chain(M, Bstar, rank_tol)[-1]
 
 
@@ -163,8 +155,9 @@ def _decreasing_chain(step, V: Subspace) -> tuple[Subspace, ...]:
 def invariant_fixpoint(M, seed: Subspace, rank_tol: float = DEFAULT_RANK_TOL):
     """Largest M-invariant subspace of ``seed`` by decreasing iteration.
 
-    Independent route to :func:`unobservable_subspace` when seeded at
-    ``ker(Bstar)``; kept separate so the two can cross-check each other.
+    The cross-check route: a preimage then an intersection per step, not
+    the criteria's restricted kernel.  Seeded at ``ker(Bstar)`` it must
+    agree with :func:`unobservable_subspace`.
     """
     chain = _decreasing_chain(
         lambda V: V.intersect(preimage(M, V, rank_tol), rank_tol), seed)
@@ -199,21 +192,22 @@ def strict_invariant_fixpoint(
 
     ``generators`` lists per-mode pairs ``(Astar, [Cstar_1, ...])``; the
     image term is rebuilt from the shrinking V at every round (strict
-    invariance).  The iteration is monotone decreasing and reaches its
-    fixed point in at most ``dim(seed)`` strict steps; the returned chain
-    ends with the stabilized repeat.
+    invariance), and one stacked restricted kernel takes every generator's
+    preimage.  The iteration is monotone decreasing and reaches its fixed
+    point in at most ``dim(seed)`` strict steps; the returned chain ends
+    with the stabilized repeat.
     """
+    gens = [(unit_norm(Astar), cstars) for Astar, cstars in generators]
+
     def step(V: Subspace) -> Subspace:
-        W = V
-        for Astar, cstars in generators:
+        maps = []
+        for Astar, cstars in gens:
             target = V
-            if V.dim:
-                cols = [Cs @ V.basis for Cs in cstars]
-                if cols:
-                    target = orthonormalize(np.hstack([V.basis] + cols), rank_tol)
-            W = W.intersect(preimage(np.asarray(Astar, float), target, rank_tol),
-                            rank_tol)
-        return W
+            if V.dim and cstars:
+                cols = [V.basis] + [Cs @ V.basis for Cs in cstars]
+                target = orthonormalize(np.hstack(cols), rank_tol)
+            maps.append((Astar, target))
+        return restricted_preimage(V, maps, rank_tol)
 
     chain = _decreasing_chain(step, seed)
     return chain[-1], chain
@@ -303,19 +297,19 @@ def suf1_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Crit
     per_mode = {}
     n = system.n
     for i, mode in enumerate(system.modes):
-        astar = mode.A.T
-        ker = kernel(mode.B0.T, rank_tol)
         if mode.rate <= 0.0:
             per_mode[mode.id] = ModeVerdict(
-                _observability_chain(astar, mode.B0.T, rank_tol))
+                _observability_chain(mode.A.T, mode.B0.T, rank_tol))
             continue
+        astar = unit_norm(mode.A.T)
+        ker = kernel(mode.B0.T, rank_tol)
         cols = [(system.C[(i, j)].T + np.eye(n)) @ ker.basis for j in system.support(i)]
         fixed_image = image(np.hstack(cols), rank_tol) if (cols and ker.dim) \
             else Subspace.zero(n)
 
         def step(V: Subspace) -> Subspace:
-            return V.intersect(
-                preimage(astar, V.sum(fixed_image, rank_tol), rank_tol), rank_tol)
+            return restricted_preimage(
+                V, [(astar, V.sum(fixed_image, rank_tol))], rank_tol)
 
         per_mode[mode.id] = ModeVerdict(_decreasing_chain(step, step(ker)))
     return CriterionVerdict("suf1", per_mode)

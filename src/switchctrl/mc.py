@@ -118,7 +118,6 @@ class BoundCheck:
     N: int
     estimate: McEstimate
     bound: float
-    bound_checked: bool
     passed: bool | None
 
 
@@ -127,7 +126,7 @@ class NullBoundReport:
     """Per-N restart-policy estimates against the closed-form bound.
 
     When the commuting hypothesis fails the bound is still reported but
-    not asserted (``bound_checked`` false); only the monotone decrease of
+    not asserted (``passed`` is None); only the monotone decrease of
     the estimates is checked in that case.
     """
 
@@ -183,7 +182,7 @@ def null_bound_check(system: SwitchSystem, x0, T: float,
                                     start_mode)
         bound = null_bound(system, x0, T, int(N))
         passed = within_bound(est, bound, x0) if commuting else None
-        checks.append(BoundCheck(int(N), est, bound, commuting, passed))
+        checks.append(BoundCheck(int(N), est, bound, passed))
     monotone_ok = True
     for a, b in zip(checks, checks[1:]):
         joint = 3.0 * math.hypot(a.estimate.std_error, b.estimate.std_error)

@@ -218,8 +218,7 @@ class Trajectory:
 class _Recorder:
     """Collects recorded points as blocks; ``build`` concatenates them."""
 
-    def __init__(self, enabled: bool, n_state: int):
-        self.enabled = enabled
+    def __init__(self, n_state: int):
         self.n_state = n_state
         self.times: list[np.ndarray] = []
         self.states: list[np.ndarray] = []
@@ -229,18 +228,15 @@ class _Recorder:
 
     def add(self, t, mode, x, side=SIDE_INTERIOR):
         """Record one point (start, jump pre/post, or end of a path)."""
-        if self.enabled:
-            self.add_block(np.array([float(t)]), mode, np.array(x, ndmin=2),
-                           side)
+        self.add_block(np.array([float(t)]), mode, np.array(x, ndmin=2), side)
 
     def add_block(self, times, mode, states, side=SIDE_INTERIOR):
         """Record the rows of ``states`` at ``times``, all under one mode."""
-        if self.enabled:
-            self.times.append(times)
-            self.states.append(states[:, : self.n_state])
-            self.mode_idx.append(int(mode))
-            self.side.append(side)
-            self.counts.append(times.size)
+        self.times.append(times)
+        self.states.append(states[:, : self.n_state])
+        self.mode_idx.append(int(mode))
+        self.side.append(side)
+        self.counts.append(times.size)
 
     def build(self, mode_ids) -> Trajectory:
         return Trajectory(
@@ -341,7 +337,7 @@ def _advance_linear(state, G, t0, length, dt, rec, mode):
     k = _steps_for(length, dt)
     h = length / k
     P = _taylor4(G, h)
-    if rec is not None and rec.enabled:
+    if rec is not None:
         rows = np.empty((k, state.shape[0]))
         rows[0] = P @ state
         step = P.T
@@ -409,8 +405,9 @@ def simulate_forward(system: SwitchSystem, x0, policy, path: ModePath,
     n = system.n
     x = np.array(x0, dtype=float).reshape(n)
     b0_init = system.modes[path.modes[0]].B0
-    rec = _Recorder(record, n)
-    rec.add(0.0, path.modes[0], x)
+    rec = _Recorder(n) if record else None
+    if rec is not None:
+        rec.add(0.0, path.modes[0], x)
     beta_accum = 0.0
     drifts: dict[int, np.ndarray] = {}
     for seg_index, (t0, t1, mode, nxt) in enumerate(path.segments()):
@@ -420,18 +417,15 @@ def simulate_forward(system: SwitchSystem, x0, policy, path: ModePath,
         if mode not in drifts:
             drifts[mode] = effective_drift(system, mode)
         drift = drifts[mode]
-        x = _forward_segment(x, seg, drift, t0, length, dt,
-                             rec if record else None, mode, n)
+        x = _forward_segment(x, seg, drift, t0, length, dt, rec, mode, n)
+        if rec is not None:
+            rec.add(t1, mode, x, SIDE_INTERIOR if nxt is None else SIDE_PRE)
         if nxt is not None:
-            rec.add(t1, mode, x, SIDE_PRE)
             x = x + system.C[(mode, nxt)] @ x
-            rec.add(t1, nxt, x, SIDE_POST)
-        else:
-            rec.add(t1, mode, x)
+            if rec is not None:
+                rec.add(t1, nxt, x, SIDE_POST)
         beta_accum += system.beta_rate(mode) * length
-    if record:
-        return rec.build(system.mode_ids)
-    return x
+    return x if rec is None else rec.build(system.mode_ids)
 
 
 def _forward_segment(x, seg: ForwardSegment, drift, t0, length, dt, rec,
@@ -586,15 +580,13 @@ def simulate_dual(system: SwitchSystem, y0, control, path: ModePath,
         raise ValueError("dt must be positive")
     n = system.n
     y = np.array(y0, dtype=float).reshape(n)
-    rec = _Recorder(True, n)
+    rec = _Recorder(n)
     rec.add(0.0, path.modes[0], y)
     for t0, t1, mode, nxt in path.segments():
         y = _advance_linear(y, control.segment(system, mode), t0, t1 - t0, dt,
                             rec, mode)
+        rec.add(t1, mode, y, SIDE_INTERIOR if nxt is None else SIDE_PRE)
         if nxt is not None:
-            rec.add(t1, mode, y, SIDE_PRE)
             y = y + control.jump_value(system, mode, nxt, y)
             rec.add(t1, nxt, y, SIDE_POST)
-        else:
-            rec.add(t1, mode, y)
     return rec.build(system.mode_ids)

@@ -4,9 +4,9 @@ Every controllability criterion in this package reduces to lattice
 operations on subspaces: kernels and images of matrices, intersections,
 sums, and preimages under linear maps.  A subspace is carried as an
 orthonormal basis; the zero subspace is a first-class value with an
-``(n, 0)`` basis.  All rank decisions go through a single relative
-singular-value cutoff so that one knob (``rank_tol``) controls the whole
-computation.
+``(n, 0)`` basis.  Every rank decision is one SVD cut at the relative
+cutoff ``rank_tol``; a fixpoint step ``V ∩ M^{-1} T`` makes one, on the
+map restricted to ``V`` (:func:`restricted_preimage`, after Basile & Marro).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
@@ -248,8 +246,28 @@ def preimage(M, V: Subspace, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
     if M.shape != (n, n):
         raise ValueError(f"expected a ({n}, {n}) matrix, got {M.shape}")
     residual = M - V.basis @ (V.basis.T @ M)
-    mscale = float(np.linalg.norm(M, 2)) if np.any(M) else 0.0
-    return kernel(residual, rank_tol, scale=mscale)
+    return kernel(residual, rank_tol, scale=float(np.linalg.norm(M, 2)))
+
+
+def unit_norm(M) -> np.ndarray:
+    """``M / |M|_2`` (``M`` when zero), the form :func:`restricted_preimage` takes."""
+    M = _as_float_matrix(M)
+    norm = float(np.linalg.norm(M, 2))
+    return M / norm if norm > 0 else M
+
+
+def restricted_preimage(V: Subspace, maps, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
+    """``V ∩ M_1^{-1} T_1 ∩ ... ∩ M_g^{-1} T_g`` for ``maps = [(M_i, T_i), ...]``.
+
+    One SVD: the kernel K of the stacked ``(I - P_{T_i}) M_i V``, cut at
+    scale 1, so each ``M_i`` comes at unit norm (:func:`unit_norm`).  The
+    basis ``V.basis @ K`` is orthonormal as a product of orthonormal bases.
+    """
+    blocks = []
+    for M, T in maps:
+        MV = M @ V.basis
+        blocks.append(MV - T.basis @ (T.basis.T @ MV))
+    return Subspace(V.basis @ kernel(np.vstack(blocks), rank_tol, scale=1.0).basis)
 
 
 def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -258,9 +276,5 @@ def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if M.size == 0:
         return np.zeros(M.T.shape)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(M.T.shape)
     r = int(np.count_nonzero(s > rank_tol * s[0]))
-    if r == 0:
-        return np.zeros(M.T.shape)
     return (Vt[:r].T / s[:r]) @ U[:, :r].T

@@ -228,7 +228,7 @@ def rk4_forward(system, x0, law, path, dt):
     B0(gamma_0)`` as in :func:`pdmp.simulate_forward`."""
     x = np.array(x0, dtype=float)
     b0_init = system.modes[path.modes[0]].B0
-    rec = pdmp._Recorder(True, system.n)
+    rec = pdmp._Recorder(system.n)
     rec.add(0.0, path.modes[0], x)
     beta_accum = 0.0
     for t0, t1, mode, nxt in path.segments():
@@ -258,7 +258,7 @@ def rk4_dual(system, y0, law, path, dt):
     is added to the state at the jump."""
     n = system.n
     y = np.array(y0, dtype=float)
-    rec = pdmp._Recorder(True, n)
+    rec = pdmp._Recorder(n)
     rec.add(0.0, path.modes[0], y)
     for t0, t1, mode, nxt in path.segments():
         astar = system.modes[mode].A.T

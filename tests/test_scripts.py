@@ -35,6 +35,7 @@ def run_script(name, *args):
     ("viability_study.py", []),
     ("bound_study.py", ["--help"]),
     ("mc_agreement.py", ["--seeds", "1", "--max-paths", "50"]),
+    ("coordinate_probe.py", ["--seeds", "1", "--transforms", "1"]),
 ])
 def test_script_exits_zero(name, args):
     proc = run_script(name, *args)
