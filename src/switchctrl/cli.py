@@ -3,8 +3,10 @@
 Exit codes follow the verdict they report: 0 for a positive outcome
 (``yes`` / all assertions pass / simulation written), 2 for a negative or
 refused one, 3 for ``undetermined``, and 1 for unusable input (parse or
-validation failures, unknown example names).  ``SWITCHCTRL_SEED`` presets
-the seed; an explicit ``--seed`` wins.
+validation failures, out-of-range options, unknown example names, an
+unwritable ``--out``).  Every failure but an invalid spec is one
+``error:`` or ``refusal:`` line on stderr, printed by ``_fail``.
+``SWITCHCTRL_SEED`` presets the seed; an explicit ``--seed`` wins.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import io
 import math
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .pdmp import (
 )
 from .report import EXIT_FOR_VERDICT, check_report, report_bytes
 from .riccati import DEFAULT_N_LIST, riccati_csv, integrate_riccati, viability_test
-from .subspace import DEFAULT_RANK_TOL
+from .subspace import DEFAULT_RANK_TOL, kernel
 from .synth import ConstantPolicy, SingularGramianError, null_bound, piecewise_null_policy
 from .verify import BUNDLES, verify_example
 
@@ -47,35 +50,53 @@ def _default_seed() -> int:
     return int(os.environ.get("SWITCHCTRL_SEED", "0"))
 
 
-def _float_vector(text: str) -> np.ndarray:
+def _fail(message: str, code: int = 1, kind: str = "error") -> NoReturn:
+    """Print one ``kind: message`` line and end the command with ``code``."""
+    print(f"{kind}: {message}", file=sys.stderr)
+    raise SystemExit(code)
+
+
+def _float_vector(text: str, size: int | None, flag: str) -> np.ndarray:
+    """Parse a comma-separated list of finite numbers, of ``size`` entries
+    when given, else of at least one."""
     try:
         vec = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError:
         vec = None
-    if vec is None or not np.all(np.isfinite(vec)):
-        print(f"error: expected comma-separated finite numbers, got {text!r}",
-              file=sys.stderr)
-        raise SystemExit(1)
+    if vec is None or vec.size == 0 or not np.isfinite(vec).all():
+        _fail(f"{flag} expects comma-separated finite numbers, got {text!r}")
+    if size is not None and vec.size != size:
+        _fail(f"{flag} needs {size} entries")
     return vec
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
 
 
 def _positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-def _write_output(data: str, out_path: str | None):
+def _write_output(data: str, out_path: str | None) -> int:
+    """Write ``data`` to ``out_path`` (stdout when None); returns exit code 0."""
     if out_path is None:
         sys.stdout.write(data)
-        if not data.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        return 0
+    try:
         with open(out_path, "w") as fh:
             fh.write(data)
+    except OSError as exc:
+        _fail(f"cannot write {out_path}: {exc}")
+    return 0
+
+
+def _write_csv(to_csv, out_path: str | None) -> int:
+    buf = io.StringIO()
+    to_csv(buf)
+    return _write_output(buf.getvalue(), out_path)
+
+
+def _write_summary(command: str, system, out_path: str | None, fields: dict) -> int:
+    summary = {"command": command, "tool_version": __version__,
+               "system_digest": system_digest(system), **fields}
+    return _write_output(canonical_json(summary).decode(), out_path)
 
 
 def _load_system(spec_path: str):
@@ -83,11 +104,9 @@ def _load_system(spec_path: str):
         with open(spec_path, "rb") as fh:
             system = parse_spec(fh.read())
     except OSError as exc:
-        print(f"error: cannot read {spec_path}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"cannot read {spec_path}: {exc}")
     except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(str(exc))
     violations = validate(system)
     if violations:
         for v in violations:
@@ -102,8 +121,7 @@ def _mode_index(system, label: str | None) -> int:
     try:
         return system.mode_index(label)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(exc.args[0])
 
 
 # ----------------------------------------------------------------- commands
@@ -120,26 +138,22 @@ def _forward_policy(args, system):
     if args.policy == "zero":
         return ZeroPolicy()
     if args.policy == "constant":
-        u = _float_vector(args.u) if args.u else np.zeros(system.d)
-        if u.size != system.d:
-            print(f"error: --u needs {system.d} entries", file=sys.stderr)
-            raise SystemExit(1)
+        u = _float_vector(args.u, system.d, "--u") if args.u else np.zeros(system.d)
         return ConstantPolicy(u)
     return piecewise_null_policy(system, args.N, args.T, rank_tol=args.tol_rank)
 
 
 def cmd_simulate(args) -> int:
     if args.paths < 1:
-        return _usage_error("--paths must be at least 1")
+        _fail("--paths must be at least 1")
     if args.policy != "feedback-dual" and 1 < args.paths < 100:
-        return _usage_error("--paths must be 1 (one trajectory) or at least "
-                            "100 (a terminal estimate)")
+        _fail("--paths must be 1 (one trajectory) or at least 100 (a terminal estimate)")
     if args.policy == "min-energy" and args.N < 1:
-        return _usage_error("--N must be at least 1")
+        _fail("--N must be at least 1")
     if not _positive(args.T):
-        return _usage_error("--T must be positive and finite")
+        _fail("--T must be positive and finite")
     if not _positive(args.dt):
-        return _usage_error("--dt must be positive and finite")
+        _fail("--dt must be positive and finite")
     system = _load_system(args.spec)
     start = _mode_index(system, args.start_mode)
     try:
@@ -147,136 +161,76 @@ def cmd_simulate(args) -> int:
             return _simulate_dual_witness(args, system, start)
         policy = _forward_policy(args, system)
     except (RefusalError, SingularGramianError) as exc:
-        print(f"refusal: {exc}", file=sys.stderr)
-        return 2
-    x0 = _float_vector(args.x0) if args.x0 else np.ones(system.n)
-    if x0.size != system.n:
-        print(f"error: --x0 needs {system.n} entries", file=sys.stderr)
-        return 1
+        _fail(str(exc), 2, "refusal")
+    x0 = _float_vector(args.x0, system.n, "--x0") if args.x0 else np.ones(system.n)
     if args.paths == 1:
         path = sample_mode_path(system, start, args.T, trajectory_rng(args.seed, 0))
         traj = simulate_forward(system, x0, policy, path, args.dt)
-        buf = io.StringIO()
-        traj.to_csv(buf)
-        _write_output(buf.getvalue(), args.out)
-        return 0
+        return _write_csv(traj.to_csv, args.out)
     est = estimate_terminal_msq(system, x0, policy, args.T, args.paths,
                                 args.seed, args.dt, start_mode=start)
-    summary = {
-        "command": "simulate",
-        "tool_version": __version__,
-        "system_digest": system_digest(system),
-        "policy": args.policy,
-        "T": args.T,
-        "paths": args.paths,
-        "seed": args.seed,
-        "dt": args.dt,
-        "terminal_msq": {"mean": est.mean, "std_error": est.std_error},
-    }
+    fields = {"policy": args.policy, "T": args.T, "paths": args.paths,
+              "seed": args.seed, "dt": args.dt,
+              "terminal_msq": {"mean": est.mean, "std_error": est.std_error}}
     if args.policy == "min-energy":
         bound = null_bound(system, x0, args.T, args.N)
-        summary["N"] = args.N
-        summary["bound"] = bound
-        summary["bound_pass"] = within_bound(est, bound, x0)
-    _write_output(canonical_json(summary).decode(), args.out)
-    return 0
+        fields.update(N=args.N, bound=bound, bound_pass=within_bound(est, bound, x0))
+    return _write_summary("simulate", system, args.out, fields)
 
 
 def _simulate_dual_witness(args, system, start) -> int:
     wit = feedback_witness(system, start, rank_tol=args.tol_rank)
     if wit is None:
-        print("refusal: witness-empty (the strictly invariant chain limit is "
-              "trivial; there is no kernel-confined dual family to exhibit)",
-              file=sys.stderr)
-        return 2
-    y0 = _float_vector(args.y0) if args.y0 else wit.v_inf.basis[:, 0]
-    if y0.size != system.n:
-        print(f"error: --y0 needs {system.n} entries", file=sys.stderr)
-        return 1
+        _fail("witness-empty (the strictly invariant chain limit is trivial; "
+              "there is no kernel-confined dual family to exhibit)", 2, "refusal")
+    y0 = _float_vector(args.y0, system.n, "--y0") if args.y0 else wit.v_inf.basis[:, 0]
     if args.paths == 1:
         path = sample_mode_path(system, start, args.T, trajectory_rng(args.seed, 0))
         traj = simulate_dual(system, y0, FeedbackDualControl(wit.F), path, args.dt)
-        buf = io.StringIO()
-        traj.to_csv(buf)
-        _write_output(buf.getvalue(), args.out)
-        return 0
+        return _write_csv(traj.to_csv, args.out)
     worst = dual_kernel_residual(system, wit.F, y0, args.T, args.paths,
                                  args.seed, args.dt, start_mode=start)
-    summary = {
-        "command": "simulate",
-        "tool_version": __version__,
-        "system_digest": system_digest(system),
-        "policy": "feedback-dual",
-        "T": args.T,
-        "paths": args.paths,
-        "seed": args.seed,
-        "dt": args.dt,
-        "witness_dim": wit.v_inf.dim,
-        "max_kernel_residual": worst,
-    }
-    _write_output(canonical_json(summary).decode(), args.out)
-    return 0
+    return _write_summary("simulate", system, args.out, {
+        "policy": "feedback-dual", "T": args.T, "paths": args.paths,
+        "seed": args.seed, "dt": args.dt, "witness_dim": wit.v_inf.dim,
+        "max_kernel_residual": worst})
 
 
 def cmd_riccati(args) -> int:
     if not _positive(args.T):
-        return _usage_error("--T must be positive and finite")
-    n_list = tuple(float(v) for v in _float_vector(args.riccati_N_list))
+        _fail("--T must be positive and finite")
+    n_list = tuple(_float_vector(args.riccati_N_list, None, "--riccati-N-list").tolist())
     if not all(_positive(N) for N in n_list):
-        return _usage_error("--riccati-N-list weights must be positive and finite")
+        _fail("--riccati-N-list weights must be positive and finite")
     ladder = len(n_list) >= 3 and sorted(set(n_list)) == list(n_list)
     if args.format == "json" and not ladder:
-        return _usage_error("--riccati-N-list needs at least three strictly "
-                            "increasing weights")
+        _fail("--riccati-N-list needs at least three strictly increasing weights")
     system = _load_system(args.spec)
     try:
         const = as_constant(system)
     except NotConstantError as exc:
-        print(f"refusal: {exc}", file=sys.stderr)
-        return 2
+        _fail(str(exc), 2, "refusal")
     if args.y:
-        y = _float_vector(args.y)
-        if y.size != const.n:
-            print(f"error: --y needs {const.n} entries", file=sys.stderr)
-            return 1
+        y = _float_vector(args.y, const.n, "--y")
     else:
-        from .subspace import kernel
-
         ker = kernel(const.B.T, args.tol_rank)
         if ker.is_zero:
-            print("error: ker(B*) is trivial; give --y explicitly", file=sys.stderr)
-            return 1
+            _fail("ker(B*) is trivial; give --y explicitly")
         y = ker.basis[:, 0]
     if args.format == "csv":
         runs = [integrate_riccati(const, N, args.T, args.tol_rank) for N in n_list]
-        buf = io.StringIO()
-        riccati_csv(runs, buf)
-        _write_output(buf.getvalue(), args.out)
-        return 0
+        return _write_csv(lambda fh: riccati_csv(runs, fh), args.out)
     rep = viability_test(const, y, args.T, N_list=n_list, rank_tol=args.tol_rank)
-    summary = {
-        "command": "riccati",
-        "tool_version": __version__,
-        "system_digest": system_digest(system),
-        "T": args.T,
-        "y": [float(v) for v in y],
-        "verdict": rep.verdict,
-        "in_kernel": rep.in_kernel,
-        "table": [[N, q] for N, q in rep.table],
-        "fitted_power": rep.fitted_power,
-        "local_powers": list(rep.local_powers),
-        "last_ratio": rep.last_ratio,
-        "notes": list(rep.notes),
-    }
-    _write_output(canonical_json(summary).decode(), args.out)
-    return 0
+    return _write_summary("riccati", system, args.out, {
+        "T": args.T, "y": y, "verdict": rep.verdict, "in_kernel": rep.in_kernel,
+        "table": rep.table, "fitted_power": rep.fitted_power,
+        "local_powers": rep.local_powers, "last_ratio": rep.last_ratio,
+        "notes": rep.notes})
 
 
 def cmd_verify_example(args) -> int:
     if args.name not in BUNDLES:
-        print(f"error: unknown example {args.name!r}; known: "
-              f"{', '.join(sorted(BUNDLES))}", file=sys.stderr)
-        return 1
+        _fail(f"unknown example {args.name!r}; known: {', '.join(sorted(BUNDLES))}")
     assertions = verify_example(args.name, seed=args.seed)
     for a in assertions:
         print(a.line())
@@ -299,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("spec", help="path to a system spec (JSON)")
         p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
-                       help="relative singular-value cutoff (default 1e-9)")
+                       help="relative singular-value cutoff in (0, 1) "
+                       "(default 1e-9)")
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help="base seed (default $SWITCHCTRL_SEED or 0)")
         p.add_argument("--out", default=None, help="write output here "
@@ -345,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "tol_rank" in vars(args) and not 0 < args.tol_rank < 1:
+            _fail(f"--tol-rank must lie in (0, 1), got {args.tol_rank!r}")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -282,12 +283,17 @@ def validate(system: SwitchSystem) -> list[Violation]:
 # --------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    # 17 significant digits: exact binary64 round trip.
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
+def format_float(x: float) -> str:
+    """The one float format of reports, specs, summaries and CSVs: 17
+    significant digits, an exact binary64 round trip."""
     return format(x, ".16e")
+
+
+def _array_text(a) -> str:
+    # ``a`` is ``ndarray.tolist()``: nested lists of Python floats
+    if isinstance(a, list):
+        return "[" + ",".join(map(_array_text, a)) + "]"
+    return format_float(a)
 
 
 def _canon(value) -> str:
@@ -296,12 +302,18 @@ def _canon(value) -> str:
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_canon(v) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        if not np.isfinite(value).all():
+            raise ValueError("cannot serialize an array with non-finite entries")
+        return _array_text(value.tolist())
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite value {value!r}")
+        return format_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -310,12 +322,11 @@ def _canon(value) -> str:
 
 
 def canonical_json(value) -> bytes:
-    """Compact JSON with fixed key order and 17-significant-digit floats."""
+    """Compact JSON with fixed key order and 17-significant-digit floats.
+
+    A numpy array is written as nested lists (a 2-D array as its rows).
+    """
     return (_canon(value) + "\n").encode("utf-8")
-
-
-def _matrix_rows(a: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.atleast_2d(a)]
 
 
 def serialize_spec(system: SwitchSystem) -> bytes:
@@ -325,20 +336,20 @@ def serialize_spec(system: SwitchSystem) -> bytes:
         "n": system.n,
         "d": system.d,
         "m": system.m,
-        "beta": [float(x) for x in system.beta],
+        "beta": system.beta,
         "modes": [
             {
                 "id": mode.id,
-                "embedding": [float(x) for x in mode.embedding],
+                "embedding": mode.embedding,
                 "lambda": mode.rate,
-                "A": _matrix_rows(mode.A),
-                "B0": _matrix_rows(mode.B0),
+                "A": mode.A,
+                "B0": mode.B0,
             }
             for mode in system.modes
         ],
-        "Q": _matrix_rows(system.Q),
+        "Q": system.Q,
         "C": {
-            f"{ids[i]}->{ids[j]}": _matrix_rows(system.C[(i, j)])
+            f"{ids[i]}->{ids[j]}": system.C[(i, j)]
             for i in range(system.n_modes)
             for j in range(system.n_modes)
             if (i, j) in system.C

@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import SwitchSystem
+from .model import SwitchSystem, format_float
 
 
 # --------------------------------------------------------------------------
@@ -208,10 +208,10 @@ class Trajectory:
         n = self.states.shape[1]
         header = "t,mode," + ",".join(f"x{i + 1}" for i in range(n)) + ",side"
         fh.write(header + "\n")
-        for t, x, m, s in zip(self.times, self.states, self.mode_idx, self.side):
-            cells = [format(t, ".16e"), self.mode_ids[int(m)]]
-            cells += [format(v, ".16e") for v in x]
-            cells.append(_SIDE_LABEL[int(s)])
+        for t, x, m, s in zip(self.times.tolist(), self.states.tolist(),
+                              self.mode_idx.tolist(), self.side.tolist()):
+            cells = [format_float(t), self.mode_ids[m], *map(format_float, x),
+                     _SIDE_LABEL[s]]
             fh.write(",".join(cells) + "\n")
 
 

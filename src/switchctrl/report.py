@@ -34,11 +34,7 @@ SUFFICIENT_ORDER = ("crit_equiv", "crit_cont_switch", "suf1")
 
 
 def subspace_dict(sub: Subspace) -> dict:
-    basis = sub.canonical_basis()
-    return {
-        "dim": sub.dim,
-        "basis": [[float(x) for x in basis[:, j]] for j in range(sub.dim)],
-    }
+    return {"dim": sub.dim, "basis": sub.canonical_basis().T}
 
 
 def verdict_dict(v: CriterionVerdict) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import ConstantSystem
+from .model import ConstantSystem, format_float
 from .subspace import DEFAULT_RANK_TOL, image, kernel
 
 #: Default penalty ladder for the viability test.
@@ -251,14 +251,11 @@ def viability_test(csystem: ConstantSystem, y, T: float,
 
 
 def riccati_csv(runs, fh) -> None:
-    """Write (N, t, vec(K)) rows for a list of runs."""
-    if not runs:
-        return
+    """Write (N, t, vec(K)) rows for a non-empty list of runs."""
     n = runs[0].K.shape[1]
     header = "N,t," + ",".join(f"k{i + 1}{j + 1}" for i in range(n) for j in range(n))
     fh.write(header + "\n")
     for run in runs:
-        for t, K in zip(run.grid, run.K):
-            cells = [format(run.N, ".16e"), format(t, ".16e")]
-            cells += [format(v, ".16e") for v in K.ravel()]
-            fh.write(",".join(cells) + "\n")
+        N = format_float(run.N)
+        for t, K in zip(run.grid.tolist(), run.K.reshape(len(run.K), -1).tolist()):
+            fh.write(",".join([N, format_float(t), *map(format_float, K)]) + "\n")

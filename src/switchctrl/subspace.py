@@ -153,13 +153,16 @@ class Subspace:
     # -- serialization support ----------------------------------------------
 
     def canonical_basis(self) -> np.ndarray:
-        """Deterministic representative basis, independent of construction path.
+        """Representative basis: deterministic for a given ``basis``.
 
         Built by pivoted Gram-Schmidt on the projector columns with a sign
         convention (largest-magnitude entry positive) and snapping of
         entries below ``SNAP_TOL`` (1e-12).  The snapped representative spans
         the same subspace up to ``n * SNAP_TOL``, well inside every reporting
-        tolerance used here.
+        tolerance used here.  Equal subspaces built by different routes
+        agree to rounding except at ties: where two projector columns have
+        (nearly) equal norms, or a column two (nearly) equal largest
+        entries, the pivot or the sign can differ, and so can the result.
         """
         n, k = self.ambient_dim, self.dim
         if k == 0:

@@ -251,7 +251,17 @@ def test_cli_rejects_malformed_vectors_and_path_counts(spec_dir, capsys):
         ["simulate", str(spec_dir / "nec1-det-not-nec2.json"),
          "--policy", "feedback-dual", "--y0", "0,-inf", "--paths", "1"],
         ["riccati", str(spec_dir / "nec1-det-not-nec2.json"), "--y", "nan,1"],
+        # an empty penalty list, an unwritable output path
+        riccati + ["--riccati-N-list", "", "--format", "csv"],
+        ["check", str(spec_dir / "ctrl-not-suf1.json"),
+         "--out", str(spec_dir / "missing" / "report.json")],
     ]
+    # rank cutoffs outside (0, 1): nan and inf used to end in a traceback,
+    # 2 and -1 in a wrong verdict, and riccati nan in a vector outside ker(B*)
+    for tol in ("nan", "inf", "2", "-1", "0", "1"):
+        cases += [["check", str(spec_dir / "ctrl-not-suf1.json"), "--tol-rank", tol],
+                  simulate + ["--policy", "zero", "--tol-rank", tol],
+                  ["riccati", str(spec_dir / "ctrl-not-suf1.json"), "--tol-rank", tol]]
     capsys.readouterr()
     for argv in cases:
         assert main(argv) == 1, argv

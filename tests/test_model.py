@@ -244,6 +244,27 @@ def test_canonical_json_rejects_non_finite():
         canonical_json({"x": float("nan")})
     with pytest.raises(ValueError):
         canonical_json([float("inf")])
+    with pytest.raises(ValueError):
+        canonical_json({"x": np.array([[0.0, np.nan]])})
+    with pytest.raises(ValueError):
+        canonical_json(np.array([1.0, -np.inf]))
+
+
+def test_canonical_json_writes_arrays_as_their_lists():
+    from switchctrl.model import canonical_json
+
+    arrays = [
+        np.array([[1.0, -0.0], [5e-324, 1e308]]),
+        np.array([-0.0, 2.2250738585072014e-308 / 3, -1e308, 0.1]),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.array([]),
+    ]
+    for a in arrays:
+        assert canonical_json(a) == canonical_json(a.tolist()), a.shape
+        assert canonical_json({"a": a}) == canonical_json({"a": a.tolist()})
+    assert canonical_json(np.zeros((0, 3))) == b"[]\n"
+    assert canonical_json(np.array([-0.0])) == b"[-0.0000000000000000e+00]\n"
 
 
 def test_parse_rejects_hostile_mode_ids():

@@ -2,9 +2,9 @@
 
 Each driver runs in a child process against the package this process
 imports; a removed option or renamed function shows up as a nonzero exit.
-``regen_golden_reports.py`` writes into a temporary directory, whose files
-must equal the pinned reports under ``tests/data``;
-``write_fixture_specs.py``, which writes into ``specs/``, is left out.
+``regen_golden_reports.py`` and ``write_fixture_specs.py`` write into a
+temporary directory, whose files must equal the pinned reports under
+``tests/data`` and the shipped specs under ``specs/``.
 """
 
 import os
@@ -54,3 +54,14 @@ def test_regen_golden_reports_reproduces_tests_data(tmp_path):
     assert written == sorted(GOLDEN.values())
     for name in written:
         assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
+
+
+def test_write_fixture_specs_reproduces_specs(tmp_path):
+    # the benchmark and the golden reports read these files
+    proc = run_script("write_fixture_specs.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    specs = ROOT / "specs"
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in specs.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (specs / name).read_bytes(), name
