@@ -3,8 +3,8 @@
 Exit codes follow the verdict they report: 0 for a positive outcome
 (``yes`` / all assertions pass / simulation written), 2 for a negative or
 refused one, 3 for ``undetermined``, and 1 for unusable input (parse or
-validation failures, out-of-range options, unknown example names, an
-unwritable ``--out``).  Every failure but an invalid spec is one
+validation failures, unknown flags, bad option values, unknown example
+names, an unwritable ``--out``).  Every failure but an invalid spec is one
 ``error:`` or ``refusal:`` line on stderr, printed by ``_fail``.
 ``SWITCHCTRL_SEED`` presets the seed; an explicit ``--seed`` wins.
 """
@@ -174,7 +174,8 @@ def cmd_simulate(args) -> int:
               "terminal_msq": {"mean": est.mean, "std_error": est.std_error}}
     if args.policy == "min-energy":
         bound = null_bound(system, x0, args.T, args.N)
-        fields.update(N=args.N, bound=bound, bound_pass=within_bound(est, bound, x0))
+        passed = within_bound(est, bound, x0) if policy.commuting else None
+        fields.update(N=args.N, bound=bound, bound_pass=passed)
     return _write_summary("simulate", system, args.out, fields)
 
 
@@ -240,8 +241,13 @@ def cmd_verify_example(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # one error: line, exit 1
+        _fail(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="switchctrl",
         description="Approximate null-controllability analysis of "
                     "piecewise-linear Markov switch systems",
@@ -298,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if "tol_rank" in vars(args) and not 0 < args.tol_rank < 1:
             _fail(f"--tol-rank must lie in (0, 1), got {args.tol_rank!r}")
         return args.func(args)

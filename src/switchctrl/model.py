@@ -193,11 +193,22 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
+def _array_violations(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> list[Violation]:
+    """The one shape and finiteness rule, applied to every array of a system."""
+    out = []
+    if arr.shape != shape:
+        out.append(Violation(f"dim-mismatch:{name}", f"expected {shape}, got {arr.shape}"))
+    if not np.isfinite(arr).all():
+        out.append(Violation(f"nonfinite:{name}", "entries must be finite"))
+    return out
+
+
 def validate(system: SwitchSystem) -> list[Violation]:
     """Check every structural invariant; an empty list means the system is valid.
 
     Violations are data, not exceptions: each carries a machine-readable
     code such as ``row-not-stochastic`` or ``dim-mismatch:modes[0].A``.
+    This is the only place that checks the shape and finiteness of arrays.
     """
     out: list[Violation] = []
     n, d, m = system.n, system.d, system.m
@@ -216,32 +227,17 @@ def validate(system: SwitchSystem) -> list[Violation]:
         seen.add(mode.id)
         if not mode.id or "->" in mode.id:
             out.append(Violation("bad-mode-id", f"{loc}.id={mode.id!r}"))
-        if mode.embedding.shape != (m,):
-            out.append(Violation(f"dim-mismatch:{loc}.embedding",
-                                 f"expected ({m},), got {mode.embedding.shape}"))
-        if mode.A.shape != (n, n):
-            out.append(Violation(f"dim-mismatch:{loc}.A",
-                                 f"expected ({n}, {n}), got {mode.A.shape}"))
-        if mode.B0.shape != (n, d):
-            out.append(Violation(f"dim-mismatch:{loc}.B0",
-                                 f"expected ({n}, {d}), got {mode.B0.shape}"))
+        out += _array_violations(f"{loc}.embedding", mode.embedding, (m,))
+        out += _array_violations(f"{loc}.A", mode.A, (n, n))
+        out += _array_violations(f"{loc}.B0", mode.B0, (n, d))
         if not np.isfinite(mode.rate) or mode.rate < 0:
             out.append(Violation("rate-negative", f"{loc}.lambda={mode.rate}"))
-        for name, arr in (("embedding", mode.embedding), ("A", mode.A), ("B0", mode.B0)):
-            if not np.all(np.isfinite(arr)):
-                out.append(Violation(f"nonfinite:{loc}.{name}", "entries must be finite"))
 
-    if system.beta.shape != (m,):
-        out.append(Violation("dim-mismatch:beta",
-                             f"expected ({m},), got {system.beta.shape}"))
-    if system.Q.shape != (k, k):
-        out.append(Violation("dim-mismatch:Q",
-                             f"expected ({k}, {k}), got {system.Q.shape}"))
-        return out  # remaining checks need a well-shaped Q
+    out += _array_violations("beta", system.beta, (m,))
+    q_violations = _array_violations("Q", system.Q, (k, k))
+    if q_violations:
+        return out + q_violations  # remaining checks need a well-formed Q
 
-    if not np.all(np.isfinite(system.Q)):
-        out.append(Violation("nonfinite:Q", "entries must be finite"))
-        return out
     if np.any(system.Q < 0):
         out.append(Violation("negative-transition", "Q entries must be >= 0"))
     for i in range(k):
@@ -270,11 +266,8 @@ def validate(system: SwitchSystem) -> list[Violation]:
             elif present and not needed:
                 out.append(Violation(f"C-unused:{label}",
                                      "jump matrix given for a zero-probability edge"))
-            if present and system.C[key].shape != (n, n):
-                out.append(Violation(f"dim-mismatch:C[{label}]",
-                                     f"expected ({n}, {n}), got {system.C[key].shape}"))
-            if present and not np.all(np.isfinite(system.C[key])):
-                out.append(Violation(f"nonfinite:C[{label}]", "entries must be finite"))
+            if present:
+                out += _array_violations(f"C[{label}]", system.C[key], (n, n))
     return out
 
 
@@ -369,55 +362,69 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _float_list(value, length: int, path: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != length:
-        raise SpecFormatError("dim-mismatch:" + path.rsplit(".", 1)[-1], path,
-                              f"expected {length} numbers")
+def _exact_floats(value, path: str):
+    """``value`` as nested lists of floats, or ``bad-number`` at its first non-number."""
+    if isinstance(value, list):
+        return [_exact_floats(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if type(value) not in (int, float):  # bool is an int subclass
+        raise SpecFormatError("bad-number", path, f"expected a number, got {json.dumps(value)}")
     try:
-        return np.array([float(x) for x in value])
-    except (TypeError, ValueError):
-        raise SpecFormatError("bad-number", path) from None
+        return float(value)
+    except OverflowError:
+        raise SpecFormatError("bad-number", path, "integer beyond the float range") from None
 
 
-def _float_matrix(value, rows: int, cols: int, path: str, short: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != rows:
-        raise SpecFormatError(f"dim-mismatch:{short}", path, f"expected {rows} rows")
-    out = np.empty((rows, cols))
-    for r, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SpecFormatError(f"dim-mismatch:{short}", f"{path}[{r}]",
-                                  f"expected {cols} columns")
+def _numbers(value, path: str, exact: bool) -> np.ndarray:
+    """The one number conversion of a spec: JSON numbers, nested in lists of
+    any shape, as a float array.  ``np.array`` reads well-formed input at
+    once; the rest, and all input when ``exact`` is set, goes entry by entry
+    through :func:`_exact_floats`, which locates the bad entry."""
+    if not exact:
         try:
-            out[r] = [float(x) for x in row]
-        except (TypeError, ValueError):
-            raise SpecFormatError("bad-number", f"{path}[{r}]") from None
-    return out
+            arr = np.array(value)
+            if arr.dtype.kind in "if":
+                return arr.astype(float)
+        except ValueError:  # ragged rows
+            pass
+    floats = _exact_floats(value, path)
+    try:
+        return np.array(floats)
+    except ValueError:
+        raise SpecFormatError("bad-number", path, "not a rectangular array") from None
 
 
 def parse_spec(text: bytes | str) -> SwitchSystem:
     """Parse a JSON system spec; raises :class:`SpecFormatError` on bad input.
 
-    Structural problems (missing fields, wrong shapes, no modes) raise;
-    semantic invariants (stochasticity, edge support) are left to
-    :func:`validate`, which reports them as data.
+    Parsing owns the JSON structure only: the object, its required keys,
+    positive integers ``n``, ``d`` and ``m``, the modes, their ids and the
+    edge keys.  Numeric fields must hold JSON numbers and keep whatever
+    shape they have: :func:`validate` checks shapes and finiteness and, like
+    every invariant, reports them as data.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        # numpy reads a JSON boolean among numbers as 1 or 0; only a text
+        # that spells one can hold one
+        return _parse_doc(json.loads(text), exact="true" in text or "false" in text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError("invalid-json", f"line {exc.lineno}", exc.msg) from None
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError("invalid-json", "$", str(exc)) from None
+    except RecursionError:
+        raise SpecFormatError("invalid-json", "$", "nested too deep") from None
+
+
+def _parse_doc(doc, exact: bool) -> SwitchSystem:
     if not isinstance(doc, dict):
         raise SpecFormatError("invalid-json", "$", "top level must be an object")
-
-    n = _require(doc, "n", "$")
-    d = _require(doc, "d", "$")
-    m = _require(doc, "m", "$")
-    for name, value in (("n", n), ("d", d), ("m", m)):
-        if not isinstance(value, int) or value < 1:
+    dims = [_require(doc, name, "$") for name in ("n", "d", "m")]
+    for name, value in zip("ndm", dims):
+        if type(value) is not int or value < 1:
             raise SpecFormatError("bad-dimension", f"$.{name}", "must be a positive integer")
-
-    beta = _float_list(_require(doc, "beta", "$"), m, "$.beta")
+    n, d, m = dims
+    beta = _numbers(_require(doc, "beta", "$"), "$.beta", exact)
 
     raw_modes = _require(doc, "modes", "$")
     if not isinstance(raw_modes, list) or not raw_modes:
@@ -433,22 +440,13 @@ def parse_spec(text: bytes | str) -> SwitchSystem:
             raise SpecFormatError("bad-mode-id", f"{path}.id")
         if any(m.id == mode_id for m in modes):
             raise SpecFormatError("duplicate-mode-id", f"{path}.id")
-        rate = _require(raw, "lambda", path)
-        if not isinstance(rate, (int, float)):
-            raise SpecFormatError("bad-number", f"{path}.lambda")
-        modes.append(
-            Mode(
-                id=mode_id,
-                embedding=_float_list(_require(raw, "embedding", path), m,
-                                      f"{path}.embedding"),
-                rate=float(rate),
-                A=_float_matrix(_require(raw, "A", path), n, n, f"{path}.A", "A"),
-                B0=_float_matrix(_require(raw, "B0", path), n, d, f"{path}.B0", "B0"),
-            )
-        )
-
-    k = len(modes)
-    Q = _float_matrix(_require(doc, "Q", "$"), k, k, "$.Q", "Q")
+        fields = {key: _numbers(_require(raw, key, path), f"{path}.{key}", exact)
+                  for key in ("lambda", "embedding", "A", "B0")}
+        if fields["lambda"].shape != ():
+            raise SpecFormatError("bad-number", f"{path}.lambda", "expected a number")
+        modes.append(Mode(id=mode_id, embedding=fields["embedding"],
+                          rate=float(fields["lambda"]), A=fields["A"], B0=fields["B0"]))
+    Q = _numbers(_require(doc, "Q", "$"), "$.Q", exact)
 
     raw_C = _require(doc, "C", "$")
     if not isinstance(raw_C, dict):
@@ -460,7 +458,7 @@ def parse_spec(text: bytes | str) -> SwitchSystem:
         src, sep, dst = key.partition("->")
         if not sep or src not in index or dst not in index:
             raise SpecFormatError("bad-edge-key", path)
-        C[(index[src], index[dst])] = _float_matrix(raw, n, n, path, f"C[{key}]")
+        C[(index[src], index[dst])] = _numbers(raw, path, exact)
 
     return SwitchSystem(n=n, d=d, m=m, beta=beta, modes=tuple(modes), Q=Q, C=C)
 
@@ -468,10 +466,6 @@ def parse_spec(text: bytes | str) -> SwitchSystem:
 # --------------------------------------------------------------------------
 # constant-coefficient reduction
 # --------------------------------------------------------------------------
-
-
-def _matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a, b)
 
 
 def as_constant(system: SwitchSystem) -> ConstantSystem:
@@ -488,12 +482,11 @@ def as_constant(system: SwitchSystem) -> ConstantSystem:
     modes = system.modes
     first = modes[0]
     for other in modes[1:]:
-        if not _matrices_equal(first.A, other.A):
+        if not np.array_equal(first.A, other.A):
             raise NotConstantError("A", (first.id, other.id))
-        if not _matrices_equal(first.B0, other.B0):
+        if not np.array_equal(first.B0, other.B0):
             raise NotConstantError("B0", (first.id, other.id))
-    for mode in modes:
-        i = system.mode_index(mode.id)
+    for i, mode in enumerate(modes):
         if system.beta_rate(i) != 0.0:
             raise NotConstantError("beta", (first.id, mode.id))
 
@@ -509,7 +502,7 @@ def as_constant(system: SwitchSystem) -> ConstantSystem:
              for j in system.support(i)]
     ref_src, ref_c = edges[0]
     for src, c in edges[1:]:
-        if not _matrices_equal(ref_c, c):
+        if not np.array_equal(ref_c, c):
             raise NotConstantError("C", (modes[ref_src].id, modes[src].id))
     for mode in modes[1:]:
         if mode.rate != first.rate:

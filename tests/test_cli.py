@@ -114,6 +114,32 @@ def test_simulate_min_energy_summary(spec_dir, tmp_path):
     assert doc["terminal_msq"]["mean"] <= doc["bound"]
 
 
+def test_simulate_min_energy_bound_not_asserted_without_commuting(tmp_path):
+    # rotation drifts are not self-adjoint: the bound is reported, not judged
+    Z = np.zeros((2, 2))
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    modes = (Mode(id="0", embedding=np.zeros(1), rate=1.0, A=rot, B0=np.eye(2)),
+             Mode(id="1", embedding=np.ones(1), rate=1.0, A=2 * rot, B0=np.eye(2)))
+    sys_ = SwitchSystem(n=2, d=2, m=1, beta=np.zeros(1), modes=modes,
+                        Q=np.array([[0.0, 1.0], [1.0, 0.0]]), C={(0, 1): Z, (1, 0): Z})
+    spec, out = tmp_path / "rot.json", tmp_path / "mc.json"
+    spec.write_bytes(serialize_spec(sys_))
+    assert main(["simulate", str(spec), "--policy", "min-energy", "--N", "4",
+                 "--paths", "200", "--dt", "1e-2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["bound_pass"] is None
+    assert doc["bound"] > 0
+
+
+def test_simulate_start_mode_and_constant_input(spec_dir, capsys):
+    assert main(["simulate", str(spec_dir / "cont-switch-bound.json"),
+                 "--policy", "constant", "--u", "0.5,-0.5", "--paths", "1",
+                 "--start-mode", "1", "--dt", "1e-2"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert rows[0] == "t,mode,x1,x2,side"
+    assert rows[1].split(",")[:2] == ["0.0000000000000000e+00", "1"]
+
+
 def test_simulate_min_energy_refuses_jumping_state(spec_dir):
     assert main(["simulate", str(spec_dir / "nec1-not-det.json"),
                  "--policy", "min-energy", "--paths", "200"]) == 2
@@ -128,6 +154,16 @@ def test_simulate_feedback_dual_residual(spec_dir, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["witness_dim"] == 1
     assert doc["max_kernel_residual"] <= 1e-6
+
+
+def test_simulate_feedback_dual_single_path(spec_dir, capsys):
+    # the dual path of the witness stays in ker(B0*): x1 = B0* y is 0
+    assert main(["simulate", str(spec_dir / "nec1-det-not-nec2.json"),
+                 "--policy", "feedback-dual", "--paths", "1", "--dt", "1e-2"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert rows[0] == "t,mode,x1,x2,side"
+    assert len(rows) > 2
+    assert all(float(row.split(",")[2]) == 0.0 for row in rows[1:])
 
 
 def test_simulate_feedback_dual_refuses_trivial_witness(spec_dir):
@@ -180,9 +216,7 @@ def test_riccati_csv_export(spec_dir, tmp_path):
 
 
 def test_riccati_step_flag_is_gone(spec_dir):
-    with pytest.raises(SystemExit) as exc:
-        main(["riccati", str(spec_dir / "ctrl-not-suf1.json"), "--dt", "1e-3"])
-    assert exc.value.code == 2
+    assert main(["riccati", str(spec_dir / "ctrl-not-suf1.json"), "--dt", "1e-3"]) == 1
 
 
 # ------------------------------------------------------------ verify-example
@@ -255,6 +289,11 @@ def test_cli_rejects_malformed_vectors_and_path_counts(spec_dir, capsys):
         riccati + ["--riccati-N-list", "", "--format", "csv"],
         ["check", str(spec_dir / "ctrl-not-suf1.json"),
          "--out", str(spec_dir / "missing" / "report.json")],
+        # an unknown start mode; argparse's own errors: a non-number for a
+        # numeric option and an unknown flag
+        simulate + ["--policy", "zero", "--start-mode", "nope"],
+        ["check", str(spec_dir / "ctrl-not-suf1.json"), "--tol-rank", "abc"],
+        ["check", str(spec_dir / "ctrl-not-suf1.json"), "--bogus"],
     ]
     # rank cutoffs outside (0, 1): nan and inf used to end in a traceback,
     # 2 and -1 in a wrong verdict, and riccati nan in a vector outside ker(B*)

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchctrl import fixtures
+from switchctrl.cli import main
 from switchctrl.model import (
     ConstantSystem,
     Mode,
@@ -140,19 +143,20 @@ def test_parse_no_modes():
     assert err.value.code == "no-modes"
 
 
-def test_parse_dim_mismatch_in_A():
-    import json
-
+def test_parse_dim_mismatch_in_A(tmp_path, capsys):
+    # parse_spec takes any shape; validate is the one place that checks it
     doc = json.loads(serialize_spec(fixtures.nec1_not_det()))
     doc["modes"][0]["A"] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    with pytest.raises(SpecFormatError) as err:
-        parse_spec(json.dumps(doc))
-    assert err.value.code == "dim-mismatch:A"
+    codes = [v.code for v in validate(parse_spec(json.dumps(doc)))]
+    assert codes == ["dim-mismatch:modes[0].A"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "violation: dim-mismatch:modes[0].A: expected (2, 2), got (2, 3)\n")
 
 
 def test_parse_rejects_bad_edge_key():
-    import json
-
     doc = json.loads(serialize_spec(fixtures.nec1_not_det()))
     doc["C"]["0->missing"] = doc["C"]["0->1"]
     with pytest.raises(SpecFormatError) as err:
@@ -172,6 +176,84 @@ def test_parse_accepts_plain_json_numbers():
     sys_ = parse_spec(text)
     assert validate(sys_) == []
     assert sys_.mode_ids == ("a", "b")
+
+
+#: (field of the nec1-not-det spec, raw JSON put there, expected code); an
+#: empty field replaces the whole text
+BIG = "9" * 400
+MALFORMED = [
+    (("beta",), "[NaN]", "nonfinite:beta"),
+    (("beta",), "[Infinity]", "nonfinite:beta"),
+    (("beta",), "[1e999]", "nonfinite:beta"),
+    (("modes", 0, "A"), f"[[{BIG}, 0], [0, 0]]", "bad-number"),
+    (("modes", 0, "lambda"), BIG, "bad-number"),
+    (("n",), "true", "bad-dimension"),
+    (("modes", 0, "lambda"), "true", "bad-number"),
+    (("modes", 0, "A"), "[[0, true], [0, 0]]", "bad-number"),
+    (("beta",), '["1.5"]', "bad-number"),
+    (("modes", 0, "B0"), "[[1], [null]]", "bad-number"),
+    (("modes", 0, "A"), "[[0, 0], [0]]", "bad-number"),
+    (("modes", 0, "lambda"), "[1]", "bad-number"),
+    (("modes", 0, "A"), "[[0, 0, 0], [0, 0, 0]]", "dim-mismatch:modes[0].A"),
+    (("Q",), "[[0, 1]]", "dim-mismatch:Q"),
+    (("beta",), "[0, 0]", "dim-mismatch:beta"),
+    (("C", "0->1"), "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]", "dim-mismatch:C[0->1]"),
+    (("Q",), "[[0, NaN], [1, 0]]", "nonfinite:Q"),
+    (("C", "0->1"), "[[0, NaN], [0.5, 0]]", "nonfinite:C[0->1]"),
+    (("modes",), "[]", "no-modes"),
+    ((), "[1, 2]", "invalid-json"),
+    ((), '{"n": 2,', "invalid-json"),
+    ((), b'\xff\xfe{}', "invalid-json"),
+    (("modes", 0, "A"), "[" * 500 + "1" + "]" * 500, "invalid-json"),
+]
+
+
+def malformed_spec(field, raw):
+    if not field:
+        return raw
+    doc = json.loads(serialize_spec(fixtures.nec1_not_det()))
+    *parents, last = field
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = "@raw@"
+    return json.dumps(doc).replace('"@raw@"', raw)
+
+
+@pytest.mark.parametrize("field, raw, code", MALFORMED, ids=lambda v: str(v)[:24])
+def test_malformed_spec_ends_in_located_lines(tmp_path, capsys, field, raw, code):
+    text = malformed_spec(field, raw)
+    try:
+        codes = [v.code for v in validate(parse_spec(text))]
+    except SpecFormatError as exc:
+        codes = [exc.code]
+    assert code in codes
+    path = tmp_path / "bad.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["check", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(ln.startswith(("error: ", "violation: ")) for ln in lines)
+
+
+def test_bad_number_is_located_at_its_entry():
+    cases = [(("modes", 0, "A"), "[[0, true], [0, 0]]", "$.modes[0].A[0][1]"),
+             (("beta",), '["1.5"]', "$.beta[0]"),
+             (("C", "0->1"), f"[[0, 0], [{BIG}, 0]]", "$.C['0->1'][1][0]"),
+             (("modes", 0, "lambda"), BIG, "$.modes[0].lambda")]
+    for field, raw, path in cases:
+        with pytest.raises(SpecFormatError) as err:
+            parse_spec(malformed_spec(field, raw))
+        assert (err.value.code, err.value.path) == ("bad-number", path)
+
+
+def test_parse_reads_every_integer_a_float_can_hold():
+    # integers beyond int64 take the entry-by-entry route, at float()'s value
+    doc = json.loads(serialize_spec(fixtures.nec1_not_det()))
+    doc["modes"][0]["A"] = [[10**30, 2**64 - 1], [-(2**63), 0]]
+    doc["modes"][0]["lambda"] = 10**30
+    sys_ = parse_spec(json.dumps(doc))
+    assert sys_.modes[0].A.tolist() == [[1e30, float(2**64 - 1)], [-(2.0**63), 0.0]]
+    assert sys_.modes[0].rate == 1e30
 
 
 # ------------------------------------------------------------- as_constant
@@ -268,8 +350,6 @@ def test_canonical_json_writes_arrays_as_their_lists():
 
 
 def test_parse_rejects_hostile_mode_ids():
-    import json
-
     doc = json.loads(serialize_spec(fixtures.nec1_not_det()))
     doc["modes"][0]["id"] = "a->b"
     with pytest.raises(SpecFormatError) as err:

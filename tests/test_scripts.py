@@ -43,6 +43,13 @@ def test_script_exits_zero(name, args):
     assert proc.stdout
 
 
+def test_bound_study_reports_the_commuting_hypothesis():
+    # a real run: the null_bound_check table for two restart counts
+    proc = run_script("bound_study.py", "--paths", "200", "--N", "1,2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("commuting hypothesis: True")
+
+
 def test_regen_golden_reports_reproduces_tests_data(tmp_path):
     # the script's PINNED, the files in tests/data and test_report's GOLDEN
     # must name the same reports, byte for byte
