@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the pinned report files under tests/data/.
+"""Regenerate the pinned report files under tests/data/, one per built-in
+fixture (``fixtures.FIXTURE_NAMES``).
 
 Only for deliberate fixture or schema changes; the test suite compares
 byte-for-byte against these files.
@@ -11,9 +12,6 @@ from pathlib import Path
 from switchctrl import fixtures
 from switchctrl.report import check_report, report_bytes
 
-PINNED = ("nec1-not-det", "nec1-det-not-nec2", "nec2-det-not-nec1",
-          "ctrl-not-suf1", "cont-switch-bound")
-
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -21,7 +19,7 @@ def main():
     args = parser.parse_args()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in PINNED:
+    for name in fixtures.FIXTURE_NAMES:
         blob = report_bytes(check_report(fixtures.example_system(name)))
         path = out / f"report_{name.replace('-', '_')}.json"
         path.write_bytes(blob)

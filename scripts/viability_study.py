@@ -36,10 +36,13 @@ def main():
     parser.add_argument("--N", default="1,10,100,1000")
     args = parser.parse_args()
 
-    v1 = show("swap drift, kernel line", as_constant(nec1_det_not_nec2()),
-              [0.0, 1.0], args)
-    v2 = show("shift drift, kernel line", as_constant(ctrl_not_suf1()),
-              [0.0, 0.0, 1.0], args)
+    try:
+        v1 = show("swap drift, kernel line", as_constant(nec1_det_not_nec2()),
+                  [0.0, 1.0], args)
+        v2 = show("shift drift, kernel line", as_constant(ctrl_not_suf1()),
+                  [0.0, 0.0, 1.0], args)
+    except ValueError as exc:  # a horizon or ladder viability_test refuses
+        parser.error(str(exc))
     return 0 if (v1, v2) == ("viable", "nonviable") else 2
 
 

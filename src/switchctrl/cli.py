@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 from typing import NoReturn
@@ -28,6 +27,7 @@ from .model import (
     SpecFormatError,
     as_constant,
     canonical_json,
+    check_positive,
     parse_spec,
     system_digest,
     validate,
@@ -58,20 +58,25 @@ def _fail(message: str, code: int = 1, kind: str = "error") -> NoReturn:
 
 def _float_vector(text: str, size: int | None, flag: str) -> np.ndarray:
     """Parse a comma-separated list of finite numbers, of ``size`` entries
-    when given, else of at least one."""
+    when given; an empty entry (``1,,2``, ``1,2,``, ``""``) is malformed."""
     try:
-        vec = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        vec = np.array([float(tok) for tok in text.split(",")])
     except ValueError:
         vec = None
-    if vec is None or vec.size == 0 or not np.isfinite(vec).all():
+    if vec is None or not np.isfinite(vec).all():
         _fail(f"{flag} expects comma-separated finite numbers, got {text!r}")
     if size is not None and vec.size != size:
         _fail(f"{flag} needs {size} entries")
     return vec
 
 
-def _positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+def _positive(name: str, value: float) -> None:
+    """End the command with :func:`check_positive`'s line unless ``value``
+    is positive and finite."""
+    try:
+        check_positive(name, value)
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 def _write_output(data: str, out_path: str | None) -> int:
@@ -150,10 +155,8 @@ def cmd_simulate(args) -> int:
         _fail("--paths must be 1 (one trajectory) or at least 100 (a terminal estimate)")
     if args.policy == "min-energy" and args.N < 1:
         _fail("--N must be at least 1")
-    if not _positive(args.T):
-        _fail("--T must be positive and finite")
-    if not _positive(args.dt):
-        _fail("--dt must be positive and finite")
+    _positive("--T", args.T)
+    _positive("--dt", args.dt)
     system = _load_system(args.spec)
     start = _mode_index(system, args.start_mode)
     try:
@@ -198,11 +201,10 @@ def _simulate_dual_witness(args, system, start) -> int:
 
 
 def cmd_riccati(args) -> int:
-    if not _positive(args.T):
-        _fail("--T must be positive and finite")
+    _positive("--T", args.T)
     n_list = tuple(_float_vector(args.riccati_N_list, None, "--riccati-N-list").tolist())
-    if not all(_positive(N) for N in n_list):
-        _fail("--riccati-N-list weights must be positive and finite")
+    for N in n_list:
+        _positive("--riccati-N-list weights", N)
     ladder = len(n_list) >= 3 and sorted(set(n_list)) == list(n_list)
     if args.format == "json" and not ladder:
         _fail("--riccati-N-list needs at least three strictly increasing weights")

@@ -13,15 +13,6 @@ import numpy as np
 
 from .model import Mode, SwitchSystem
 
-FIXTURE_NAMES = (
-    "nec1-not-det",
-    "nec1-det-not-nec2",
-    "nec2-det-not-nec1",
-    "ctrl-not-suf1",
-    "cont-switch-bound",
-)
-
-
 def _bimodal(n, d, A0, A1, B0, C01, C10, rate=1.0):
     embed = (np.array([0.0]), np.array([1.0]))
     modes = (
@@ -111,6 +102,9 @@ _BUILDERS = {
     "ctrl-not-suf1": ctrl_not_suf1,
     "cont-switch-bound": cont_switch_bound,
 }
+
+#: Registry names of the built-in systems, in registry order.
+FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def example_system(name: str) -> SwitchSystem:

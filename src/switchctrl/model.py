@@ -51,6 +51,14 @@ class NotConstantError(ValueError):
         super().__init__(f"modes {pair[0]!r} and {pair[1]!r} disagree on {field_name}")
 
 
+def check_positive(name: str, value) -> None:
+    """The one positivity rule for horizons, steps and penalty weights:
+    raise ``ValueError("<name> must be positive and finite")`` unless
+    ``value`` is a finite number above zero (``nan`` and ``inf`` are not)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _frozen(a) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)

@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import SwitchSystem, format_float
+from .model import SwitchSystem, check_positive, format_float
 
 
 # --------------------------------------------------------------------------
@@ -120,11 +120,6 @@ def _jump_chain(rates, rows, start: int, t_end: float, rng):
     return times, modes
 
 
-def _check_horizon(t_end: float) -> None:
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError("t_end must be positive and finite")
-
-
 def sample_mode_path(system: SwitchSystem, start: int, t_end: float,
                      rng: np.random.Generator) -> ModePath:
     """Draw a jump chain: exponential holding times, transitions from Q rows.
@@ -132,7 +127,7 @@ def sample_mode_path(system: SwitchSystem, start: int, t_end: float,
     A zero-rate mode is absorbing.  Reproducible: the draw sequence is one
     exponential plus one uniform per jump, in order.
     """
-    _check_horizon(t_end)
+    check_positive("t_end", t_end)
     times, modes = _jump_chain(*_chain_tables(system), start, t_end, rng)
     return ModePath(t_end, np.array(times), tuple(modes))
 
@@ -154,7 +149,7 @@ def sample_jump_chains(system: SwitchSystem, start: int, t_end: float,
                        rngs) -> ChainBatch:
     """One jump chain per generator that ``rngs`` yields, drawn in turn
     exactly as ``sample_mode_path`` draws it."""
-    _check_horizon(t_end)
+    check_positive("t_end", t_end)
     rates, rows = _chain_tables(system)
     chains = [_jump_chain(rates, rows, start, t_end, rng) for rng in rngs]
     width = max(len(modes) for _, modes in chains)
@@ -351,8 +346,6 @@ def _advance_linear(state, G, t0, length, dt, rec, mode):
         if k > 1:
             rec.add_block(t0 + np.arange(1, k) * h, mode, rows[:-1])
         return rows[-1]
-    if k == 1:
-        return P @ state
     return np.linalg.matrix_power(P, k) @ state
 
 
@@ -400,8 +393,7 @@ def simulate_forward(system: SwitchSystem, x0, policy, path: ModePath,
     recorded, a matrix power when not), so the terminal states agree to
     rounding.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    check_positive("dt", dt)
     n = system.n
     x = np.array(x0, dtype=float).reshape(n)
     b0_init = system.modes[path.modes[0]].B0
@@ -463,8 +455,7 @@ def simulate_forward_batch(system: SwitchSystem, x0, policy,
     input-growth factors stacked, one stacked flow advances the group, and
     one stacked jump per target mode moves it.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    check_positive("dt", dt)
     n = system.n
     n_paths, width = chains.modes.shape
     X = np.repeat(np.array(x0, dtype=float).reshape(1, n), n_paths, axis=0)
@@ -513,22 +504,14 @@ def _forward_segment_batch(X, seg: ForwardSegment, drift, length, dt, n):
 # --------------------------------------------------------------------------
 
 
-class ZeroDualControl:
-    """v = 0: the dual follows the negative adjoint drift and never jumps."""
-
-    def segment(self, system, mode):
-        return -system.modes[mode].A.T
-
-    def jump_value(self, system, mode, theta, y_pre):
-        return np.zeros(system.n)
-
-
 class FeedbackDualControl:
     """Mark control ``v(theta) = F[(mode, theta)] Y`` for fixed edge matrices.
 
     With the matrices produced by the feedback-witness synthesis this
     keeps the dual state inside the witness subspace along every path.
-    Edges without a matrix fall back to zero.
+    Edges without a matrix fall back to zero, so ``FeedbackDualControl({})``
+    is the zero control: the dual follows the negative adjoint drift and
+    never jumps.
     """
 
     def __init__(self, F):
@@ -576,8 +559,7 @@ def simulate_dual(system: SwitchSystem, y0, control, path: ModePath,
     and ``control.jump_value(system, mode, theta, y_pre)`` the value added
     at the jump.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    check_positive("dt", dt)
     n = system.n
     y = np.array(y0, dtype=float).reshape(n)
     rec = _Recorder(n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import ConstantSystem, format_float
+from .model import ConstantSystem, check_positive, format_float
 from .subspace import DEFAULT_RANK_TOL, image, kernel
 
 #: Default penalty ladder for the viability test.
@@ -119,10 +119,8 @@ def integrate_riccati(csystem: ConstantSystem, N: float, T: float,
     ``RiccatiPositivityError`` is raised once the step falls below
     ``1e-14 T``.  The run holds every accepted step.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if N <= 0:
-        raise ValueError("the penalty weight must be positive")
+    check_positive("T", T)
+    check_positive("N", N)
     rhs = _rhs_builder(csystem, float(N), image(csystem.B, rank_tol).projector())
     n = csystem.n
     K = np.zeros((n, n))
@@ -197,14 +195,20 @@ def viability_test(csystem: ConstantSystem, y, T: float,
       ``POWER_THRESHOLD``: sustained power growth in the penalty weight.
     * ``indeterminate`` otherwise; reported, never guessed.
 
-    A vector outside ``ker(B*)`` is nonviable outright.  All intermediate
-    quantities land in the report; the verdict is a numerical heuristic.
+    ``T`` and every weight must be positive and finite, and the ladder
+    must hold at least three strictly increasing weights; otherwise
+    ``ValueError``, before any flow runs.  A vector outside ``ker(B*)`` is
+    nonviable outright.  All intermediate quantities land in the report;
+    the verdict is a numerical heuristic.
     """
     y = np.asarray(y, dtype=float).reshape(csystem.n)
+    check_positive("T", T)
+    for N in N_list:
+        check_positive("N", N)
     if len(N_list) < 3:
         raise ValueError("need at least three penalty weights")
-    if sorted(N_list) != list(N_list):
-        raise ValueError("penalty weights must be increasing")
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("penalty weights must be strictly increasing")
     ker = kernel(csystem.B.T, rank_tol)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:

@@ -4,9 +4,10 @@ Every controllability criterion in this package reduces to lattice
 operations on subspaces: kernels and images of matrices, intersections,
 sums, and preimages under linear maps.  A subspace is carried as an
 orthonormal basis; the zero subspace is a first-class value with an
-``(n, 0)`` basis.  Every rank decision is one SVD cut at the relative
-cutoff ``rank_tol``; a fixpoint step ``V ∩ M^{-1} T`` makes one, on the
-map restricted to ``V`` (:func:`restricted_preimage`, after Basile & Marro).
+``(n, 0)`` basis.  Every rank decision is one cut of a spectrum at the
+relative cutoff ``rank_tol``, made by :func:`rank_of`; a fixpoint step
+``V ∩ M^{-1} T`` makes one, on the map restricted to ``V``
+(:func:`restricted_preimage`, after Basile & Marro).
 """
 
 from __future__ import annotations
@@ -34,13 +35,23 @@ def _as_float_matrix(M) -> np.ndarray:
     return M
 
 
+def rank_of(s, rank_tol: float = DEFAULT_RANK_TOL, scale: float | None = None) -> int:
+    """Number of the descending values ``s`` above ``rank_tol * scale``.
+
+    The one rank cut of the package: every rank decision (the SVD-based
+    functions below and the Gramian test of ``synth.gramian_factor``) goes
+    through it.  ``scale`` defaults to the largest value ``s[0]``, so an
+    empty or all-zero ``s`` has rank 0.
+    """
+    s = np.asarray(s, dtype=float)
+    if scale is None:
+        scale = s[0] if s.size else 0.0
+    return int(np.count_nonzero(s > rank_tol * scale))
+
+
 def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of ``M``: number of singular values above ``rank_tol * sigma_max``."""
-    M = _as_float_matrix(M)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return rank_of(np.linalg.svd(_as_float_matrix(M), compute_uv=False), rank_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +216,8 @@ def orthonormalize(vectors, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
         if not vecs:
             raise ValueError("cannot infer ambient dimension from an empty vector list")
         M = np.column_stack(vecs)
-    n = M.shape[0]
-    if M.shape[1] == 0 or not np.any(M):
-        return Subspace.zero(n)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
-    return Subspace(U[:, :r])
+    return Subspace(U[:, :rank_of(s, rank_tol)])
 
 
 def kernel(M, rank_tol: float = DEFAULT_RANK_TOL, scale: float | None = None) -> Subspace:
@@ -226,9 +233,7 @@ def kernel(M, rank_tol: float = DEFAULT_RANK_TOL, scale: float | None = None) ->
     if p == 0 or not np.any(M):
         return Subspace.full(n)
     _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    ref = s[0] if scale is None else scale
-    r = int(np.count_nonzero(s > rank_tol * ref)) if ref > 0 else 0
-    return Subspace(Vt[r:].T)
+    return Subspace(Vt[rank_of(s, rank_tol, scale):].T)
 
 
 def image(M, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
@@ -275,9 +280,6 @@ def restricted_preimage(V: Subspace, maps, rank_tol: float = DEFAULT_RANK_TOL) -
 
 def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse by SVD with relative rank truncation."""
-    M = _as_float_matrix(M)
-    if M.size == 0:
-        return np.zeros(M.T.shape)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    U, s, Vt = np.linalg.svd(_as_float_matrix(M), full_matrices=False)
+    r = rank_of(s, rank_tol)
     return (Vt[:r].T / s[:r]) @ U[:, :r].T

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .criteria import RefusalError, crit_cont_switch_check
-from .model import SwitchSystem
+from .model import SwitchSystem, check_positive
 from .pdmp import ForwardSegment, matvec
-from .subspace import DEFAULT_RANK_TOL
+from .subspace import DEFAULT_RANK_TOL, rank_of
 
 
 class SingularGramianError(RuntimeError):
@@ -76,11 +76,13 @@ class GramianFactor:
 
 def gramian_factor(system: SwitchSystem, mode_idx: int, horizon: float,
                    rank_tol: float = DEFAULT_RANK_TOL) -> GramianFactor:
-    """Gramian of one mode, factored; raises when numerically singular."""
+    """Gramian of one mode, factored; raises when numerically singular, that
+    is when :func:`~switchctrl.subspace.rank_of` keeps fewer than ``n`` of
+    its eigenvalues (always so when the largest is not positive)."""
     mode = system.modes[mode_idx]
     G = gramian(mode.A, mode.B0, horizon)
     eigvals, eigvecs = np.linalg.eigh(G)
-    if eigvals[0] <= rank_tol * max(eigvals[-1], 0.0) or eigvals[-1] <= 0.0:
+    if rank_of(eigvals[::-1], rank_tol) < system.n:
         raise SingularGramianError(mode.id, horizon, eigvals)
     return GramianFactor(mode.id, horizon, G, eigvals, eigvecs)
 
@@ -234,10 +236,12 @@ def piecewise_null_policy(system: SwitchSystem, N: int, T: float,
     Refusals: nonzero jump matrices; a failing continuous-switching
     criterion (some pair (A, B0) uncontrollable, surfacing as a singular
     Gramian); or a mode-dependent input matrix, which the pinned input
-    ``B_t = (...) B0(start)`` could never steer against.
+    ``B_t = (...) B0(start)`` could never steer against.  A horizon ``T``
+    that is not positive and finite is a ``ValueError``.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
+    check_positive("T", T)
     verdict = crit_cont_switch_check(system, rank_tol)  # refuses when C != 0
     if system.b0_mode_varying():
         raise RefusalError("B0-mode-varying",

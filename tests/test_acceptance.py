@@ -22,7 +22,12 @@ from switchctrl.criteria import (
 )
 from switchctrl.mc import null_bound_check, trajectory_rng
 from switchctrl.model import as_constant
-from switchctrl.pdmp import ZeroDualControl, sample_mode_path, simulate_dual, simulate_forward
+from switchctrl.pdmp import (
+    FeedbackDualControl,
+    sample_mode_path,
+    simulate_dual,
+    simulate_forward,
+)
 from switchctrl.riccati import viability_test
 from switchctrl.subspace import kernel, pseudoinverse
 from switchctrl.synth import ConstantPolicy, MinEnergyRestartPolicy, commuting_hypothesis, gramian_factor
@@ -157,7 +162,7 @@ def test_a7c_duality_pairing_on_random_systems():
             for i in range(1000):
                 path = sample_mode_path(sys_, 0, 1.0, trajectory_rng(1000 + tested, i))
                 fwd = simulate_forward(sys_, x0, ConstantPolicy(u), path, dt)
-                dua = simulate_dual(sys_, y0, ZeroDualControl(), path, dt)
+                dua = simulate_dual(sys_, y0, FeedbackDualControl({}), path, dt)
                 integral = np.trapezoid(dua.states @ (b0 @ u), fwd.times)
                 vals[i] = float(fwd.states[-1] @ dua.states[-1]) - integral
             se = vals.std(ddof=1) / np.sqrt(vals.size)

@@ -285,7 +285,11 @@ def test_cli_rejects_malformed_vectors_and_path_counts(spec_dir, capsys):
         ["simulate", str(spec_dir / "nec1-det-not-nec2.json"),
          "--policy", "feedback-dual", "--y0", "0,-inf", "--paths", "1"],
         ["riccati", str(spec_dir / "nec1-det-not-nec2.json"), "--y", "nan,1"],
-        # an empty penalty list, an unwritable output path
+        # empty entries, which used to be dropped; an empty penalty list,
+        # an unwritable output path
+        simulate + ["--policy", "zero", "--x0", "1,,2"],
+        simulate + ["--policy", "zero", "--x0", "1,2,"],
+        riccati + ["--riccati-N-list", "1,,10,100"],
         riccati + ["--riccati-N-list", "", "--format", "csv"],
         ["check", str(spec_dir / "ctrl-not-suf1.json"),
          "--out", str(spec_dir / "missing" / "report.json")],

@@ -19,6 +19,18 @@ from switchctrl.model import (
     system_digest,
     validate,
 )
+from switchctrl.pdmp import (
+    FeedbackDualControl,
+    ModePath,
+    ZeroPolicy,
+    sample_jump_chains,
+    sample_mode_path,
+    simulate_dual,
+    simulate_forward,
+    simulate_forward_batch,
+)
+from switchctrl.riccati import integrate_riccati, viability_test
+from switchctrl.synth import piecewise_null_policy
 
 
 def make_system(**overrides):
@@ -361,3 +373,46 @@ def test_parse_rejects_hostile_mode_ids():
     with pytest.raises(SpecFormatError) as err:
         parse_spec(json.dumps(doc))
     assert err.value.code == "duplicate-mode-id"
+
+
+# ------------------------------------------------------------------ positivity
+
+
+def _positivity_cases():
+    sys_ = fixtures.nec1_not_det()
+    const = as_constant(fixtures.nec1_det_not_nec2())
+    path = ModePath(1.0, np.array([0.5]), (0, 1))
+    chains = sample_jump_chains(sys_, 0, 1.0, [np.random.default_rng(1)])
+    x0 = np.ones(2)
+    # the viability vector lies outside ker(B*), whose verdict needs no flow:
+    # the arguments are checked before anything else
+    return {
+        "integrate_riccati-T": ("T", lambda v: integrate_riccati(const, 1.0, v)),
+        "integrate_riccati-N": ("N", lambda v: integrate_riccati(const, v, 1.0)),
+        "viability_test-T": ("T", lambda v: viability_test(const, [1.0, 0.0], v)),
+        "viability_test-N": ("N", lambda v: viability_test(const, [1.0, 0.0], 1.0,
+                                                           N_list=(1.0, 10.0, v))),
+        "sample_mode_path": ("t_end", lambda v: sample_mode_path(
+            sys_, 0, v, np.random.default_rng(1))),
+        "sample_jump_chains": ("t_end", lambda v: sample_jump_chains(
+            sys_, 0, v, [np.random.default_rng(1)])),
+        "simulate_forward": ("dt", lambda v: simulate_forward(
+            sys_, x0, ZeroPolicy(), path, v)),
+        "simulate_forward_batch": ("dt", lambda v: simulate_forward_batch(
+            sys_, x0, ZeroPolicy(), chains, v)),
+        "simulate_dual": ("dt", lambda v: simulate_dual(
+            sys_, x0, FeedbackDualControl({}), path, v)),
+        "piecewise_null_policy": ("T", lambda v: piecewise_null_policy(
+            fixtures.cont_switch_bound(), 4, v)),
+    }
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("case", sorted(_positivity_cases()))
+def test_every_positivity_check_raises_the_one_error(case, value):
+    # T = inf used to integrate forever, T = nan to give a one-point run
+    # and a false verdict, dt = inf to take one step per segment, and a
+    # policy horizon of 0 or nan to be refused as a singular Gramian
+    name, call = _positivity_cases()[case]
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        call(value)

@@ -13,7 +13,6 @@ from switchctrl.pdmp import (
     SIDE_PRE,
     FeedbackDualControl,
     ModePath,
-    ZeroDualControl,
     ZeroPolicy,
     effective_drift,
     sample_mode_path,
@@ -100,7 +99,7 @@ def test_simulation_rejects_unusable_step(dt):
     with pytest.raises(ValueError, match="dt"):
         simulate_forward(sys_, np.ones(2), ZeroPolicy(), path, dt)
     with pytest.raises(ValueError, match="dt"):
-        simulate_dual(sys_, np.ones(2), ZeroDualControl(), path, dt)
+        simulate_dual(sys_, np.ones(2), FeedbackDualControl({}), path, dt)
 
 
 # ------------------------------------------------------------ effective drift
@@ -311,7 +310,8 @@ def test_constant_policy_affine_fast_path_matches_callable():
 def test_dual_constant_when_drift_and_control_vanish():
     sys_ = fixtures.nec1_not_det()  # A = 0
     path = sample_mode_path(sys_, 0, 1.0, rng_for(11))
-    traj = simulate_dual(sys_, np.array([0.3, -0.7]), ZeroDualControl(), path, 1e-2)
+    traj = simulate_dual(sys_, np.array([0.3, -0.7]), FeedbackDualControl({}), path,
+                         1e-2)
     assert np.max(np.abs(traj.states - np.array([0.3, -0.7]))) <= 1e-12
 
 
@@ -370,7 +370,8 @@ def test_recorded_matches_stepwise_reference(monkeypatch):
                 path = sample_mode_path(sys_, 0, 1.0, rng)
                 x0 = np.linspace(1.0, -0.5, sys_.n)
                 cases.append((simulate_forward, sys_, x0, ZeroPolicy(), path, dt))
-                cases.append((simulate_dual, sys_, x0, ZeroDualControl(), path, dt))
+                cases.append((simulate_dual, sys_, x0, FeedbackDualControl({}), path,
+                              dt))
     sys_ = fixtures.cont_switch_bound()
     policy = piecewise_null_policy(sys_, 4, 1.0)
     rng = rng_for(31)
@@ -432,7 +433,7 @@ def test_duality_pairing_identity():
     for _ in range(400):
         path = sample_mode_path(sys_, 0, 1.0, rng)
         fwd = simulate_forward(sys_, x0, ConstantPolicy(u), path, dt)
-        dua = simulate_dual(sys_, y0, ZeroDualControl(), path, dt)
+        dua = simulate_dual(sys_, y0, FeedbackDualControl({}), path, dt)
         assert np.array_equal(fwd.times, dua.times)
         bu = sys_.modes[0].B0 @ u
         integrand = dua.states @ bu

@@ -190,6 +190,9 @@ def test_n_list_validation():
         viability_test(c2, [0.0, 1.0], 1.0, N_list=(1.0, 10.0))
     with pytest.raises(ValueError):
         viability_test(c2, [0.0, 1.0], 1.0, N_list=(10.0, 1.0, 100.0))
+    # a repeated rung gave a nan exponent and a false plateau
+    with pytest.raises(ValueError, match="strictly increasing"):
+        viability_test(c2, [0.0, 1.0], 1.0, N_list=(1.0, 10.0, 10.0, 100.0))
 
 
 # ----------------------------------------------------------------------- csv

@@ -15,9 +15,13 @@ from pathlib import Path
 import pytest
 
 import switchctrl
+from switchctrl import fixtures
 from test_report import GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Seconds a driver may run; the slowest smoke case takes a few.
+SCRIPT_TIMEOUT = 120
 
 
 def run_script(name, *args):
@@ -26,7 +30,7 @@ def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path), timeout=SCRIPT_TIMEOUT,
     )
 
 
@@ -50,13 +54,25 @@ def test_bound_study_reports_the_commuting_hypothesis():
     assert proc.stdout.startswith("commuting hypothesis: True")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--T", "inf"], "T must be positive and finite"),
+    (["--N", "1,10,100,100"], "penalty weights must be strictly increasing"),
+])
+def test_viability_study_refuses_an_unusable_horizon_or_ladder(args, message):
+    # an infinite horizon used to integrate forever, a repeated rung to
+    # call the nonviable shift line viable
+    proc = run_script("viability_study.py", *args)
+    assert proc.returncode != 0
+    assert message in proc.stderr, proc.stderr
+
+
 def test_regen_golden_reports_reproduces_tests_data(tmp_path):
-    # the script's PINNED, the files in tests/data and test_report's GOLDEN
-    # must name the same reports, byte for byte
     proc = run_script("regen_golden_reports.py", "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     data = ROOT / "tests" / "data"
     written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(f"report_{name.replace('-', '_')}.json"
+                             for name in fixtures.FIXTURE_NAMES)
     assert written == sorted(p.name for p in data.glob("report_*.json"))
     assert written == sorted(GOLDEN.values())
     for name in written:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchctrl.subspace import (
@@ -12,6 +12,7 @@ from switchctrl.subspace import (
     orthonormalize,
     preimage,
     pseudoinverse,
+    rank_of,
 )
 
 
@@ -314,3 +315,51 @@ def test_numerical_rank_basics():
     assert numerical_rank(np.zeros((3, 3))) == 0
     assert numerical_rank(np.eye(3)) == 3
     assert numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+
+
+# ------------------------------------------------------------------- rank cut
+
+
+def brute_rank(values, rank_tol, scale=None):
+    ref = max(values, default=0.0) if scale is None else scale
+    return sum(1 for v in values if v > rank_tol * ref)
+
+
+# Singular values are powers of ten or exact zeros and every cutoff is
+# 3 * 10^j, so each value sits a factor 3 from the cut, far outside the
+# round-off of the SVD that recovers it.
+SINGULAR_VALUES = st.lists(st.sampled_from([0.0] + [10.0 ** e for e in range(-14, 4)]),
+                           max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=SINGULAR_VALUES, extra_rows=st.integers(0, 3),
+       extra_cols=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       rank_tol=st.sampled_from([3e-10, 3e-7, 3e-4, 0.3]))
+@example(values=[], extra_rows=0, extra_cols=0, seed=0, rank_tol=3e-10)
+@example(values=[], extra_rows=0, extra_cols=3, seed=0, rank_tol=3e-10)
+@example(values=[], extra_rows=3, extra_cols=0, seed=0, rank_tol=3e-10)
+@example(values=[0.0, 0.0], extra_rows=1, extra_cols=0, seed=0, rank_tol=3e-10)
+@example(values=[1e3, 1e-3, 1e-9], extra_rows=0, extra_cols=1, seed=1,
+         rank_tol=3e-7)
+def test_every_rank_decision_is_the_one_cut(values, extra_rows, extra_cols, seed,
+                                            rank_tol):
+    s = sorted(values, reverse=True)
+    k = len(s)
+    p, q = k + extra_rows, k + extra_cols
+    M = np.zeros((p, q))
+    if k:
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((p, k)))[0]
+        V = np.linalg.qr(rng.standard_normal((q, k)))[0]
+        M = (U * s) @ V.T
+    r = brute_rank(s, rank_tol)
+    assert rank_of(s, rank_tol) == r
+    assert numerical_rank(M, rank_tol) == r
+    assert orthonormalize(M, rank_tol).dim == r
+    assert q - kernel(M, rank_tol).dim == r
+    assert numerical_rank(pseudoinverse(M, rank_tol), rank_tol) == r
+    # a fixed reference scale: the cut sits at rank_tol itself
+    r1 = brute_rank(s, rank_tol, scale=1.0)
+    assert rank_of(s, rank_tol, scale=1.0) == r1
+    assert q - kernel(M, rank_tol, scale=1.0).dim == r1

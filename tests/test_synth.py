@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from switchctrl import fixtures
+from switchctrl import fixtures, synth
 from switchctrl.criteria import RefusalError, kalman_rank
 from switchctrl.model import Mode, SwitchSystem
 from switchctrl.pdmp import ModePath, simulate_forward
@@ -138,6 +138,27 @@ def test_singular_gramian_raises_with_mode_name():
     with pytest.raises(SingularGramianError) as err:
         gramian_factor(sys_, 0, 1.0)
     assert err.value.mode_id == "s"
+
+
+@pytest.mark.parametrize("rank_tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("spectrum", [
+    [1.0, 2.0], [3.0, 3.0], [1e-9, 1.0], [1.01e-9, 1.0], [1e-3, 1.0],
+    [0.0, 1.0], [-1e-3, 1.0], [0.0, 0.0], [-1.0, 0.0], [-2.0, -1.0],
+    [1e-300, 1e-290], [5e-10, 0.5, 1.0], [2e-3, 0.5, 1.0],
+])
+def test_gramian_factor_raises_exactly_when_the_old_test_did(monkeypatch, spectrum,
+                                                             rank_tol):
+    # the rank_of cut on the descending eigenvalues against the expression
+    # it replaced, on hand-built Gramians
+    n = len(spectrum)
+    monkeypatch.setattr(synth, "gramian", lambda A, B, t: np.diag(spectrum))
+    sys_ = single_mode_system(np.zeros((n, n)), np.eye(n))
+    ev = np.linalg.eigh(np.diag(spectrum))[0]
+    if ev[0] <= rank_tol * max(ev[-1], 0.0) or ev[-1] <= 0.0:
+        with pytest.raises(SingularGramianError):
+            gramian_factor(sys_, 0, 1.0, rank_tol)
+    else:
+        assert np.array_equal(gramian_factor(sys_, 0, 1.0, rank_tol).eigvals, ev)
 
 
 # ------------------------------------------------------------ restart policy
