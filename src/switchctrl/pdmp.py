@@ -49,7 +49,8 @@ class ModePath:
     """One realization of the jump chain on [0, t_end].
 
     ``modes`` has one more entry than ``jump_times``: the initial mode
-    followed by the post-jump modes in order.
+    followed by the post-jump modes in order.  ``t_end`` must be positive
+    and finite.
     """
 
     t_end: float
@@ -57,6 +58,7 @@ class ModePath:
     modes: tuple[int, ...]
 
     def __post_init__(self):
+        check_positive("t_end", self.t_end)
         times = np.array(self.jump_times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "jump_times", times)

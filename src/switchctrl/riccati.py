@@ -11,7 +11,9 @@ such wherever it is reported; the algebraic criteria remain authoritative.
 
 Each flow is integrated by an adaptive Dormand-Prince 5(4) pair (Dormand &
 Prince 1980) with error-per-step control at the fixed tolerances ``RTOL``
-1e-11 and ``ATOL`` 1e-12; a run keeps K at every accepted step.
+1e-11 and ``ATOL`` 1e-12; a run keeps K at every accepted step.  The jump
+term's Cholesky factorization and solve are numpy's (``np.linalg.cholesky``
+and ``np.linalg.solve``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import cholesky, solve
 
 from .model import ConstantSystem, check_positive, format_float
 from .subspace import DEFAULT_RANK_TOL, image, kernel
@@ -61,24 +63,28 @@ class RiccatiRun:
 
 
 def _rhs_builder(csystem: ConstantSystem, N: float, perp: np.ndarray):
-    """Right-hand side of the flow; raises ``np.linalg.LinAlgError`` when
-    (I + K) is not positive definite."""
-    A = csystem.A
+    """Right-hand side of the flow, written into ``out``:
+    ``N perp - K A* - A K - sum_w w K c* (I + K)^-1 c K`` over the marks.
+    For symmetric K, ``A K`` is ``(K A*)*``; with ``L`` the Cholesky factor
+    of ``I + K`` and ``X = L^-1 c``, a mark's term is ``w (X K)* (X K)``.
+    Raises ``np.linalg.LinAlgError`` when (I + K) is not positive definite."""
+    At = csystem.A.T
     n = csystem.n
+    source = N * perp
     eye = np.eye(n)
-    marks = [(w, np.asarray(c)) for w, c in csystem.marks if w > 0.0]
+    # the marks stacked as rows of sqrt(w) c, so that one solve serves all
+    weighted = [math.sqrt(w) * np.asarray(c) for w, c in csystem.marks if w > 0.0]
+    stacked = np.concatenate(weighted) if weighted else None
+    shape = (len(weighted), n, n)
 
-    def rhs(K):
-        val = -K @ A.T - A @ K + N * perp
-        if marks:
-            ch, info = dpotrf(eye + K, lower=0, clean=0)
-            if info > 0:
-                raise np.linalg.LinAlgError("I + K is not positive definite")
-            S = np.zeros((n, n))
-            for w, c in marks:
-                S += w * (c.T @ dpotrs(ch, c, lower=0)[0])
-            val = val - K @ S @ K
-        return val
+    def rhs(K, out):
+        KAt = K @ At
+        np.subtract(source, KAt, out=out)
+        out -= KAt.T
+        if stacked is not None:
+            XK = solve(cholesky(eye + K), (stacked @ K).reshape(shape))
+            XK = XK.reshape(-1, n)
+            out -= XK.T @ XK
 
     return rhs
 
@@ -87,20 +93,22 @@ def _rhs_builder(csystem: ConstantSystem, N: float, perp: np.ndarray):
 RTOL = 1e-11
 ATOL = 1e-12
 
-# Dormand & Prince (1980) 5(4) tableau: stage rows (the last row is the
-# fifth-order solution, whose stage is the next step's first: FSAL) and the
-# fifth- minus fourth-order weights.  The flow is autonomous, so the nodes
-# are not needed.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand & Prince (1980) 5(4) tableau: row s weighs the stage derivatives
+# k_0 .. k_{s-1} of stage s (row 6 is the fifth-order solution, whose stage
+# is the next step's first: FSAL), and _E holds the fifth- minus fourth-order
+# weights.  The flow is autonomous, so the nodes are not needed.
+_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+#: ``_A`` behind a leading column for K itself (see ``integrate_riccati``).
+_STAGES = np.hstack([np.zeros((7, 1)), _A])
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 def integrate_riccati(csystem: ConstantSystem, N: float, T: float,
@@ -126,35 +134,45 @@ def integrate_riccati(csystem: ConstantSystem, N: float, T: float,
     K = np.zeros((n, n))
     grid, out = [0.0], [K]
     t, h, h_min = 0.0, 1e-3 * T, 1e-14 * T
-    k = [rhs(K)] + [None] * 6
+    # slot 0 holds K and slots 1-7 the stage derivatives k_0 .. k_6, so that
+    # stage s is the product of row s of W = [1 | h _A] with slots 0 .. s
+    slots = np.zeros((8, n, n))
+    flat = slots.reshape(8, n * n)
+    W = np.empty((7, 8))
+    stages = [(W[s, :s + 1], flat[:s + 1], slots[s + 1], s == 6) for s in range(1, 7)]
+    rhs(K, slots[1])
+    absK = np.abs(K)
     while t < T:
         if h < h_min:
             raise RiccatiPositivityError(t, h)
         last = t + h >= T
         if last:
             h = T - t
+        np.multiply(h, _STAGES, out=W)
+        W[:, 0] = 1.0
         try:
-            for s in range(1, 7):
-                Ks = K + h * sum(a * k[j] for j, a in enumerate(_A[s]) if a)
-                if s == 6:
+            for w, prefix, deriv, final in stages:
+                Ks = (w @ prefix).reshape(n, n)
+                if final:
                     Ks = 0.5 * (Ks + Ks.T)
-                k[s] = rhs(Ks)
+                rhs(Ks, deriv)
         except np.linalg.LinAlgError:
             h *= 0.2
             continue
-        delta = h * sum(e * k[j] for j, e in enumerate(_E) if e)
-        scale = ATOL + RTOL * np.maximum(np.abs(K), np.abs(Ks))
-        err = math.sqrt(float(np.mean((delta / scale) ** 2)))
+        absKs = np.abs(Ks)
+        r = (h * _E) @ flat[1:] / (ATOL + RTOL * np.maximum(absK, absKs)).ravel()
+        err = math.sqrt(float(r @ r) / r.size)
         if not math.isfinite(err):
             h *= 0.2
             continue
         fac = min(10.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 10.0
         if err <= 1.0:
             t = T if last else t + h
-            K = Ks
+            K, absK = Ks, absKs
             grid.append(t)
             out.append(K)
-            k[0] = k[6]
+            slots[0] = K
+            slots[1] = slots[7]
         h *= fac
     return RiccatiRun(float(N), np.array(grid), np.array(out))
 

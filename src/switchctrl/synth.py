@@ -15,12 +15,49 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .criteria import RefusalError, crit_cont_switch_check
 from .model import SwitchSystem, check_positive
 from .pdmp import ForwardSegment, matvec
 from .subspace import DEFAULT_RANK_TOL, rank_of
+
+
+#: Pade-13 numerator coefficients, divided by the leading one so that the
+#: exponential of zero is exactly I, and the 1-norm up to which the
+#: approximant is accurate to double precision (Higham 2005, Table 2.3).
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005,
+    SIAM J. Matrix Anal. Appl. 26): ``A`` is halved ``s`` times until its
+    1-norm is at most ``_THETA13``, the [13/13] Pade approximant is solved
+    for, and the result is squared ``s`` times.  A matrix with a non-finite
+    entry is a ``ValueError``."""
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError("expm needs a finite matrix")
+    norm = float(np.linalg.norm(A, 1))
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = A / 2.0 ** s
+    b = _PADE13
+    eye = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 class SingularGramianError(RuntimeError):
@@ -42,15 +79,17 @@ def gramian(A, B, t: float) -> np.ndarray:
     The convolution integral of ``e^{As} B B* e^{A*s}`` over ``[0, t]``,
     read off one block exponential (Van Loan 1978): the upper-right block
     of ``expm([[A, B B*], [0, -A*]] t)`` times the transpose of its
-    upper-left block ``e^{At}``.  Symmetrized against round-off.
+    upper-left block ``e^{At}``.  Symmetrized against round-off.  ``t``
+    must be finite and nonnegative (``t = 0`` gives the zero Gramian);
+    otherwise ``ValueError``.
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative")
     n = A.shape[0]
     M = np.block([[A, B @ B.T], [np.zeros((n, n)), -A.T]])
-    E = expm(M * t)
+    E = _expm(M * t)
     G = E[:n, n:] @ E[:n, :n].T
     return 0.5 * (G + G.T)
 
@@ -107,7 +146,7 @@ class MinEnergyControl:
     def __call__(self, elapsed: float) -> np.ndarray:
         if elapsed > self.horizon:
             return np.zeros(self.B0.shape[1])
-        z = expm(self.Astar * (-elapsed)) @ self.adjoint0
+        z = _expm(self.Astar * (-elapsed)) @ self.adjoint0
         return -math.exp(-self.beta_rate * elapsed) * (self.B0.T @ z)
 
 
@@ -121,9 +160,9 @@ def min_energy_control(system: SwitchSystem, mode_idx: int, y, horizon: float,
     """
     mode = system.modes[mode_idx]
     y = np.asarray(y, dtype=float).reshape(system.n)
-    eAh = expm(mode.A * horizon)
+    eAh = _expm(mode.A * horizon)
     w = gramian_factor(system, mode_idx, horizon, rank_tol).solve(eAh @ y)
-    z0 = expm(mode.A.T * horizon) @ w
+    z0 = _expm(mode.A.T * horizon) @ w
     return MinEnergyControl(
         mode_idx=mode_idx,
         horizon=horizon,
@@ -210,8 +249,8 @@ class MinEnergyRestartPolicy:
         self.factors, self._expm_cache = {}, {}
         for i, mode in enumerate(system.modes):
             self.factors[i] = gramian_factor(system, i, self.horizon, rank_tol)
-            self._expm_cache[i] = (expm(mode.A * self.horizon),
-                                   expm(mode.A.T * self.horizon))
+            self._expm_cache[i] = (_expm(mode.A * self.horizon),
+                                   _expm(mode.A.T * self.horizon))
         self.commuting = commuting_hypothesis(system)
 
     def segment(self, system, seg_index, mode, x_start, beta_factor, b0_init):

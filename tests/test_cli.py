@@ -257,6 +257,34 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip() == "0.1.0"
 
 
+IMPORT_GUARD = """
+import contextlib, io, sys
+from switchctrl.cli import main
+
+specs = sys.argv[1]
+calls = [["check", f"{specs}/ctrl_not_suf1.json"],
+         ["simulate", f"{specs}/cont_switch_bound.json", "--policy", "min-energy",
+          "--paths", "1"],
+         ["riccati", f"{specs}/nec1_det_not_nec2.json", "--y", "0,1"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_never_imports_scipy():
+    # numpy is the only runtime dependency: scipy serves the tests alone
+    src = str(Path(switchctrl.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    specs = str(Path(__file__).resolve().parents[1] / "specs")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, specs],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
 def test_cli_rejects_malformed_vectors_and_path_counts(spec_dir, capsys):
     assert main(["simulate", str(spec_dir / "cont-switch-bound.json"),
                  "--policy", "zero", "--x0", "a,b"]) == 1

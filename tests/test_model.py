@@ -392,6 +392,7 @@ def _positivity_cases():
         "viability_test-T": ("T", lambda v: viability_test(const, [1.0, 0.0], v)),
         "viability_test-N": ("N", lambda v: viability_test(const, [1.0, 0.0], 1.0,
                                                            N_list=(1.0, 10.0, v))),
+        "ModePath": ("t_end", lambda v: ModePath(v, np.array([]), (0,))),
         "sample_mode_path": ("t_end", lambda v: sample_mode_path(
             sys_, 0, v, np.random.default_rng(1))),
         "sample_jump_chains": ("t_end", lambda v: sample_jump_chains(
@@ -412,7 +413,9 @@ def _positivity_cases():
 def test_every_positivity_check_raises_the_one_error(case, value):
     # T = inf used to integrate forever, T = nan to give a one-point run
     # and a false verdict, dt = inf to take one step per segment, and a
-    # policy horizon of 0 or nan to be refused as a singular Gramian
+    # policy horizon of 0 or nan to be refused as a singular Gramian; a
+    # hand-built ModePath ending at inf used to overflow in simulate_forward
+    # and one ending at -1 to simulate nothing
     name, call = _positivity_cases()[case]
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
         call(value)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from switchctrl import fixtures, riccati
 from switchctrl.model import ConstantSystem, as_constant
@@ -92,16 +93,16 @@ def test_positivity_failure_rejects_the_step(monkeypatch):
     # it; the flow still reaches T with the same terminal K.
     c2 = as_constant(fixtures.nec1_det_not_nec2())
     ref = integrate_riccati(c2, 10.0, 1.0)
-    real = riccati.dpotrf
+    real = riccati.cholesky
     calls = []
 
-    def flaky(a, **kw):
+    def flaky(a):
         calls.append(None)
         if len(calls) == 40:
-            return a, 1
-        return real(a, **kw)
+            raise np.linalg.LinAlgError("I + K is not positive definite")
+        return real(a)
 
-    monkeypatch.setattr(riccati, "dpotrf", flaky)
+    monkeypatch.setattr(riccati, "cholesky", flaky)
     run = integrate_riccati(c2, 10.0, 1.0)
     assert run.grid.shape != ref.grid.shape or np.any(run.grid != ref.grid)
     assert run.grid[-1] == 1.0
@@ -111,21 +112,50 @@ def test_positivity_failure_rejects_the_step(monkeypatch):
 def test_positivity_error_on_step_underflow(monkeypatch):
     # Every factorization after the one at K(0) = 0 fails: the step shrinks
     # by 0.2 per rejection until it underflows 1e-14 T.
-    real = riccati.dpotrf
+    real = riccati.cholesky
     calls = []
 
-    def only_first(a, **kw):
+    def only_first(a):
         calls.append(None)
         if len(calls) > 1:
-            return a, 1
-        return real(a, **kw)
+            raise np.linalg.LinAlgError("I + K is not positive definite")
+        return real(a)
 
-    monkeypatch.setattr(riccati, "dpotrf", only_first)
+    monkeypatch.setattr(riccati, "cholesky", only_first)
     c2 = as_constant(fixtures.nec1_det_not_nec2())
     with pytest.raises(RiccatiPositivityError) as err:
         integrate_riccati(c2, 10.0, 2.0)
     assert err.value.t == 0.0
     assert 0.2e-14 * 2.0 <= err.value.h < 1e-14 * 2.0
+
+
+def test_positivity_rule_matches_lapack_dpotrf():
+    # Oracle: LAPACK's dpotrf, whose info > 0 was the former rejection rule.
+    # I + K is built from a hand-picked spectrum, and the right-hand side
+    # must refuse it exactly when dpotrf does.
+    rng = np.random.default_rng(101)
+    seen = {True: 0, False: 0}
+    for smallest in (-1e-3, -1e-12, 1e-12, 1e-3, 0.5, 2.0):
+        for _ in range(25):
+            n = int(rng.integers(1, 6))
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            spectrum = np.concatenate([[smallest], rng.uniform(0.5, 3.0, n - 1)])
+            K = Q @ np.diag(spectrum) @ Q.T - np.eye(n)
+            K = 0.5 * (K + K.T)
+            cs = ConstantSystem(n=n, d=1, A=rng.standard_normal((n, n)),
+                                B=rng.standard_normal((n, 1)),
+                                marks=((0.7, rng.standard_normal((n, n))),))
+            rhs = riccati._rhs_builder(cs, 10.0, np.eye(n))
+            lapack_refuses = dpotrf(np.eye(n) + K, lower=1, clean=0)[1] > 0
+            assert lapack_refuses == (smallest < 0)
+            try:
+                rhs(K, np.empty((n, n)))
+                refused = False
+            except np.linalg.LinAlgError:
+                refused = True
+            assert refused == lapack_refuses, (smallest, n)
+            seen[refused] += 1
+    assert seen[True] == 50 and seen[False] == 100
 
 
 def test_energy_bound_of_explicit_confining_control():

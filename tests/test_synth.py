@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -36,6 +38,50 @@ def controllable_pair(rng, n):
         B = rng.standard_normal((n, d))
         if kalman_rank(A, B) == n:
             return A, B
+
+
+# ---------------------------------------------------------------------- expm
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    # Oracle: scipy.linalg.expm on 2000 seeded matrices with n <= 24 and
+    # 1-norms from 1e-3 up to 250.
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(2000):
+        n = int(rng.integers(1, 25))
+        A = rng.standard_normal((n, n))
+        A *= 10.0 ** rng.uniform(-3.0, np.log10(250.0)) / np.linalg.norm(A, 1)
+        ref = expm(A)
+        worst = max(worst, np.linalg.norm(synth._expm(A) - ref, 1) / np.linalg.norm(ref, 1))
+    print(f"worst relative 1-norm difference from scipy.linalg.expm: {worst:.3g}")
+    assert worst <= 1e-10, worst
+
+
+def test_expm_exact_cases():
+    assert np.array_equal(synth._expm(np.zeros((3, 3))), np.eye(3))
+    d = np.array([-3.0, 0.0, 0.5, 4.0, 20.0])
+    E = synth._expm(np.diag(d))
+    assert np.array_equal(E, np.diag(np.diag(E)))
+    assert np.max(np.abs(np.diag(E) / np.exp(d) - 1.0)) <= 1e-13
+    for t in (1.0, 3.0, 40.0):  # nilpotent: the Taylor series stops at J^4
+        J = t * np.diag(np.ones(4), 1)
+        taylor = sum(np.linalg.matrix_power(J, k) / math.factorial(k) for k in range(5))
+        assert np.max(np.abs(synth._expm(J) - taylor)) <= 1e-14 * np.max(taylor)
+    for x in (-30.0, -1.0, 0.0, 1e-8, 0.5, 7.0, 30.0):
+        assert abs(synth._expm(np.array([[x]]))[0, 0] - math.exp(x)) <= 1e-13 * math.exp(x)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_and_gramian_refuse_non_finite_input(bad):
+    with pytest.raises(ValueError, match="^expm needs a finite matrix$"):
+        synth._expm(np.array([[0.0, bad], [0.0, 0.0]]))
+    A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="^t must be finite and nonnegative$"):
+        gramian(A, B, bad)
+    with pytest.raises(ValueError, match="^t must be finite and nonnegative$"):
+        gramian(A, B, -1.0)
+    assert np.array_equal(gramian(A, B, 0.0), np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------------- gramian
