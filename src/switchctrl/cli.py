@@ -47,7 +47,11 @@ from .verify import BUNDLES, verify_example
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SWITCHCTRL_SEED", "0"))
+    text = os.environ.get("SWITCHCTRL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        _fail(f"SWITCHCTRL_SEED must be an integer, got {text!r}")
 
 
 def _fail(message: str, code: int = 1, kind: str = "error") -> NoReturn:
@@ -247,6 +251,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:  # one error: line, exit 1
         _fail(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # SWITCHCTRL_SEED is read only when no --seed was given
+        args, extras = super().parse_known_args(args, namespace)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
+        return args, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
                        help="relative singular-value cutoff in (0, 1) "
                        "(default 1e-9)")
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int, default=None,
                        help="base seed (default $SWITCHCTRL_SEED or 0)")
         p.add_argument("--out", default=None, help="write output here "
                        "instead of stdout")
@@ -299,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-example", help="re-derive a built-in example")
     p.add_argument("name", help=f"one of: {', '.join(sorted(BUNDLES))}")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify_example)
 
     return parser

@@ -230,15 +230,24 @@ def _strict_limit(system: SwitchSystem, modes, seed: Subspace,
 
 
 def _kalman_verdict(name: str, system: SwitchSystem, drifts,
-                    rank_tol: float) -> CriterionVerdict:
+                    rank_tol: float, chains: dict | None) -> CriterionVerdict:
     """Observability-chain verdicts of the per-mode pairs ``(drifts[i], B0(i))``,
-    with their Kalman ranks in ``details['kalman_ranks']``."""
+    with their Kalman ranks in ``details['kalman_ranks']``.
+
+    ``chains`` maps ``(drift bytes, B0 bytes, rank_tol)`` to the chain and
+    rank already computed for that pair, so criteria sharing one dict (as
+    in ``report.run_criteria``) compute each distinct pair once.
+    """
+    chains = {} if chains is None else chains
     per_mode = {}
     ranks = {}
     for mode, drift in zip(system.modes, drifts):
-        per_mode[mode.id] = ModeVerdict(
-            _observability_chain(drift.T, mode.B0.T, rank_tol))
-        ranks[mode.id] = kalman_rank(drift, mode.B0, rank_tol)
+        key = (drift.tobytes(), mode.B0.tobytes(), rank_tol)
+        if key not in chains:
+            chains[key] = (_observability_chain(drift.T, mode.B0.T, rank_tol),
+                           kalman_rank(drift, mode.B0, rank_tol))
+        chain, ranks[mode.id] = chains[key]
+        per_mode[mode.id] = ModeVerdict(chain)
     return CriterionVerdict(name, per_mode, {"kalman_ranks": ranks})
 
 
@@ -247,16 +256,18 @@ def _kalman_verdict(name: str, system: SwitchSystem, drifts,
 # --------------------------------------------------------------------------
 
 
-def nec1_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL) -> CriterionVerdict:
+def nec1_check(system: SwitchSystem, rank_tol: float = DEFAULT_RANK_TOL, *,
+               chains: dict | None = None) -> CriterionVerdict:
     """Necessary test: no nontrivial invariant subspace of the compensated
     adjoint drift may survive inside ker(B0*), for any starting mode.
 
     The witness route (observability kernel) is cross-checked against the
     Kalman rank of the non-transposed pair; ``details['consistent']``
-    records the agreement.
+    records the agreement.  ``chains`` is the shared memo of
+    :func:`_kalman_verdict`.
     """
     drifts = [effective_drift(system, i) for i in range(system.n_modes)]
-    v = _kalman_verdict("nec1", system, drifts, rank_tol)
+    v = _kalman_verdict("nec1", system, drifts, rank_tol, chains)
     ranks = v.details["kalman_ranks"]
     consistent = all((ranks[mid] == system.n) == mv.passed
                      for mid, mv in v.per_mode.items())
@@ -330,12 +341,14 @@ def crit_equiv_check(csystem: ConstantSystem,
 
 
 def crit_cont_switch_check(system: SwitchSystem,
-                           rank_tol: float = DEFAULT_RANK_TOL) -> CriterionVerdict:
+                           rank_tol: float = DEFAULT_RANK_TOL, *,
+                           chains: dict | None = None) -> CriterionVerdict:
     """Continuous-switching equivalence test (necessary and sufficient).
 
     Only defined for systems whose state never jumps: every jump matrix
     must vanish, otherwise the check refuses with the offending edges.
-    Passing means each pair (A(mode), B0(mode)) is controllable.
+    Passing means each pair (A(mode), B0(mode)) is controllable: the
+    chains of :func:`det_kalman_check`, which ``chains`` can share.
     """
     ids = system.mode_ids
     offending = [f"{ids[i]}->{ids[j]}" for (i, j), c in sorted(system.C.items())
@@ -343,19 +356,20 @@ def crit_cont_switch_check(system: SwitchSystem,
     if offending:
         raise RefusalError("C-nonzero", ", ".join(offending))
     return _kalman_verdict("crit_cont_switch", system,
-                           [m.A for m in system.modes], rank_tol)
+                           [m.A for m in system.modes], rank_tol, chains)
 
 
 def det_kalman_check(system: SwitchSystem,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> CriterionVerdict:
+                     rank_tol: float = DEFAULT_RANK_TOL, *,
+                     chains: dict | None = None) -> CriterionVerdict:
     """Controllability of each mode's deterministic pair (A, B0).
 
     Informational only: the counterexample systems show it is logically
     independent of the stochastic criteria, so it never contributes to the
-    overall verdict.
+    overall verdict.  ``chains`` is the shared memo of :func:`_kalman_verdict`.
     """
     return _kalman_verdict("det_kalman", system, [m.A for m in system.modes],
-                           rank_tol)
+                           rank_tol, chains)
 
 
 # --------------------------------------------------------------------------

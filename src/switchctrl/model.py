@@ -297,16 +297,19 @@ def _array_text(a) -> str:
     return format_float(a)
 
 
-def _canon(value) -> str:
+def _canon(value, texts: dict) -> str:
     if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(k)}:{_canon(v)}" for k, v in value.items())
+        items = ",".join(f"{json.dumps(k)}:{_canon(v, texts)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in value) + "]"
+        return "[" + ",".join(_canon(v, texts) for v in value) + "]"
     if isinstance(value, np.ndarray):
-        if not np.isfinite(value).all():
-            raise ValueError("cannot serialize an array with non-finite entries")
-        return _array_text(value.tolist())
+        text = texts.get(id(value))
+        if text is None:
+            if not np.isfinite(value).all():
+                raise ValueError("cannot serialize an array with non-finite entries")
+            text = texts[id(value)] = _array_text(value.tolist())
+        return text
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -326,8 +329,13 @@ def canonical_json(value) -> bytes:
     """Compact JSON with fixed key order and 17-significant-digit floats.
 
     A numpy array is written as nested lists (a 2-D array as its rows).
+    Within one call each distinct array object is checked and formatted
+    once, and its text is reused wherever the same object appears again;
+    the bytes are those of formatting it at every place.  Keying by
+    ``id`` is sound because ``value`` keeps every array alive for the
+    whole call.
     """
-    return (_canon(value) + "\n").encode("utf-8")
+    return (_canon(value, {}) + "\n").encode("utf-8")
 
 
 def serialize_spec(system: SwitchSystem) -> bytes:

@@ -245,6 +245,18 @@ def test_seed_env_default(monkeypatch):
     assert args.seed == 0
 
 
+def test_malformed_seed_env_is_one_error_line(spec_dir, monkeypatch, capsys):
+    spec = str(spec_dir / "ctrl-not-suf1.json")
+    monkeypatch.setenv("SWITCHCTRL_SEED", "abc")
+    for argv in (["check", spec], ["verify-example", "nec1-not-det"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: SWITCHCTRL_SEED"), err
+    # an explicit --seed wins and never reads the variable
+    assert main(["check", spec, "--seed", "5", "--out", str(spec_dir / "out.json")]) == 0
+    assert json.loads((spec_dir / "out.json").read_text())["seed"] == 5
+
+
 def test_console_entry_point_runs():
     # the child imports the same package as this process, installed or not
     src = str(Path(switchctrl.__file__).resolve().parents[1])

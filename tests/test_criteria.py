@@ -376,6 +376,68 @@ def test_det_kalman_ranks_on_counterexample_systems():
         {"0": 3, "1": 3}
 
 
+def _signature(v):
+    """Per mode: the pass, the chain dimensions and the Kalman rank."""
+    ranks = v.details.get("kalman_ranks", {})
+    return {mid: (mv.passed, tuple(s.dim for s in mv.chain), ranks.get(mid))
+            for mid, mv in v.per_mode.items()}
+
+
+def test_jump_free_kalman_criteria_share_their_chains():
+    # Without jumps the compensated drift is A (the jump compensator is
+    # zero), so nec1, det_kalman and crit_cont_switch test the same pairs
+    # (A(mode), B0(mode)): equal passes, chains and Kalman ranks, and inside
+    # run_criteria one computed chain per mode.
+    from conftest import random_switch_system
+    from switchctrl.report import run_criteria
+
+    rng = np.random.default_rng(11)
+    systems = [fixtures.cont_switch_bound()]
+    systems += [random_switch_system(rng, max_n=5, max_modes=4, zero_jump_prob=1.0)
+                for _ in range(15)]
+    for k, sys_ in enumerate(systems):
+        verdicts, _ = run_criteria(sys_)
+        sigs = [_signature(verdicts[name])
+                for name in ("nec1", "det_kalman", "crit_cont_switch")]
+        assert sigs[0] == sigs[1] == sigs[2], k
+        for mid, mv in verdicts["det_kalman"].per_mode.items():
+            assert verdicts["crit_cont_switch"].per_mode[mid].chain is mv.chain, k
+            assert verdicts["nec1"].per_mode[mid].chain is mv.chain, k
+
+
+def test_each_check_alone_gives_its_verdict_inside_run_criteria():
+    from conftest import random_switch_system
+    from switchctrl.report import run_criteria
+
+    alone = {"nec1": nec1_check, "nec2": nec2_check, "suf1": suf1_check,
+             "det_kalman": det_kalman_check, "crit_cont_switch": crit_cont_switch_check,
+             "crit_equiv": lambda s: crit_equiv_check(as_constant(s))}
+    # one drift with two inputs: equal drift bytes must not share a chain
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    Z = np.zeros((3, 3))
+    modes = tuple(Mode(id=str(i), embedding=np.full(1, float(i)), rate=1.0, A=A,
+                       B0=np.eye(3)[:, [i]]) for i in range(2))
+    same_drift = SwitchSystem(n=3, d=1, m=1, beta=np.zeros(1), modes=modes,
+                              Q=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                              C={(0, 1): Z, (1, 0): Z})
+    assert _signature(det_kalman_check(same_drift)) == \
+        {"0": (False, (2, 2, 2, 2), 1), "1": (False, (2, 1, 1, 1), 2)}
+    rng = np.random.default_rng(12)
+    systems = [same_drift] + [fixtures.example_system(name)
+                              for name in fixtures.FIXTURE_NAMES]
+    systems += [random_switch_system(rng, max_n=5, max_modes=4,
+                                     zero_jump_prob=1.0 if k % 2 else 0.25)
+                for k in range(16)]
+    for k, sys_ in enumerate(systems):
+        verdicts, _ = run_criteria(sys_)
+        for name, v in verdicts.items():
+            single = alone[name](sys_)
+            assert _signature(single) == _signature(v), (k, name)
+            for mid, mv in v.per_mode.items():
+                assert [s.basis.tobytes() for s in single.per_mode[mid].chain] == \
+                    [s.basis.tobytes() for s in mv.chain], (k, name, mid)
+
+
 # ------------------------------------------------------------ feedback witness
 
 

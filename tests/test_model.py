@@ -361,6 +361,41 @@ def test_canonical_json_writes_arrays_as_their_lists():
     assert canonical_json(np.array([-0.0])) == b"[-0.0000000000000000e+00]\n"
 
 
+def test_canonical_json_repeated_array_writes_like_distinct_copies():
+    # the writer formats one array object once and reuses its text
+    from switchctrl.model import canonical_json
+
+    a = np.random.default_rng(3).standard_normal((3, 2))
+    shared = {"x": a, "y": [a, {"z": a}], "w": (a, 1.5)}
+    copies = {"x": a.copy(), "y": [a.copy(), {"z": a.copy()}], "w": (a.copy(), 1.5)}
+    assert canonical_json(shared) == canonical_json(copies)
+    assert canonical_json(shared) == canonical_json(
+        {"x": a.tolist(), "y": [a.tolist(), {"z": a.tolist()}], "w": [a.tolist(), 1.5]})
+
+
+def test_canonical_json_refuses_a_non_finite_array_at_a_repeated_position():
+    from switchctrl.model import canonical_json
+
+    good = np.ones((2, 2))
+    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+    for value in ([good, good, bad], [good, {"k": bad}, bad], {"a": [bad, bad]},
+                  [good, {"k": good}, {"k": bad}]):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(value)
+
+
+def test_canonical_json_arrays_with_equal_bytes_each_write_their_own_text():
+    # the text is keyed by the array object, never by its buffer: views and
+    # copies with the bytes of another array keep their own shape and values
+    from switchctrl.model import canonical_json
+
+    a = np.arange(6.0).reshape(2, 3)
+    others = [a.copy(), a.reshape(3, 2), a.ravel(), a.T, a[:, ::-1]]
+    blob = canonical_json([a, *others, a])
+    assert blob == canonical_json([x.tolist() for x in [a, *others, a]])
+    assert json.loads(blob)[2] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+
 def test_parse_rejects_hostile_mode_ids():
     doc = json.loads(serialize_spec(fixtures.nec1_not_det()))
     doc["modes"][0]["id"] = "a->b"

@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from switchctrl import fixtures
-from switchctrl.model import Mode, SwitchSystem, system_digest
+from switchctrl.criteria import (
+    crit_cont_switch_check,
+    crit_equiv_check,
+    det_kalman_check,
+    nec1_check,
+    nec2_check,
+    suf1_check,
+)
+from switchctrl.model import Mode, SwitchSystem, as_constant, canonical_json, system_digest
 from switchctrl.report import (
     check_report,
     overall_verdict,
     report_bytes,
     run_criteria,
+    subspace_dict,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -98,3 +107,73 @@ def test_witness_serialization_round_trip():
     assert wit["dim"] == 1
     basis = np.array(wit["basis"][0])
     assert np.allclose(np.abs(basis), [0.0, 1.0])
+
+
+# ----------------------------------------- memo-free reference of the report
+
+
+def _copied(value):
+    """``value`` with every dict, list and array copied: no two places share
+    an object, so the writer formats every array afresh."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_copied(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    return value
+
+
+def _reference_bytes(system) -> bytes:
+    """The report built without any memo: each criterion run alone, one
+    ``subspace_dict`` per subspace, and the writer on copied arrays."""
+    alone = {"nec1": nec1_check, "nec2": nec2_check, "suf1": suf1_check,
+             "det_kalman": det_kalman_check, "crit_cont_switch": crit_cont_switch_check,
+             "crit_equiv": lambda s: crit_equiv_check(as_constant(s))}
+    report = check_report(system)
+    criteria = []
+    for entry in report["criteria"]:
+        v = alone[entry["name"]](system)
+        per_mode = {}
+        for mode_id, mv in v.per_mode.items():
+            per_mode[mode_id] = {
+                "pass": mv.passed,
+                "witness": subspace_dict(mv.chain[-1]),
+                "chain_dims": [s.dim for s in mv.chain],
+                "chain": [subspace_dict(s) for s in mv.chain],
+            }
+        out = {"name": v.name, "overall": v.overall, "per_mode": per_mode}
+        if v.details:
+            out["details"] = {k: v.details[k] for k in sorted(v.details)}
+        criteria.append(out)
+    return canonical_json(_copied({**report, "criteria": criteria}))
+
+
+def _memo_systems():
+    from conftest import random_switch_system
+
+    rng = np.random.default_rng(20)
+    systems = [fixtures.example_system(name) for name in sorted(GOLDEN)]
+    for k in range(20):
+        # every fourth system has no jumps at all (C = 0)
+        systems.append(random_switch_system(
+            rng, max_n=5, max_modes=4, zero_jump_prob=1.0 if k % 4 == 0 else 0.25))
+    return systems
+
+
+def test_report_memo_leaves_the_bytes_of_a_memo_free_reference():
+    systems = _memo_systems()
+    assert sum(not any(np.any(c) for c in s.C.values()) for s in systems) >= 5
+    for k, system in enumerate(systems):
+        assert report_bytes(check_report(system)) == _reference_bytes(system), k
+
+
+def test_report_shares_one_dict_per_distinct_basis():
+    # the nec1, det_kalman and crit_cont_switch chains of a jump-free
+    # system are one chain, so the report holds one dict per subspace
+    rep = check_report(fixtures.cont_switch_bound())
+    by_name = {c["name"]: c for c in rep["criteria"]}
+    for mode_id, entry in by_name["det_kalman"]["per_mode"].items():
+        for other in ("nec1", "crit_cont_switch"):
+            chain = by_name[other]["per_mode"][mode_id]["chain"]
+            assert all(a is b for a, b in zip(chain, entry["chain"]))

@@ -7,6 +7,8 @@ temporary directory, whose files must equal the pinned reports under
 ``tests/data`` and the shipped specs under ``specs/``.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -88,3 +90,22 @@ def test_write_fixture_specs_reproduces_specs(tmp_path):
     assert written == sorted(p.name for p in specs.glob("*.json"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (specs / name).read_bytes(), name
+
+
+def test_report_digest_shipped_line_matches_the_golden_reports():
+    # the shipped specs' check output is the golden reports, in the order
+    # of perfbench.workloads.SHIPPED_SPECS, each with its exit line
+    from switchctrl.report import EXIT_FOR_VERDICT
+
+    proc = run_script("report_digest.py", "--seeds", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    h = hashlib.sha256()
+    names = ("cont_switch_bound", "ctrl_not_suf1", "nec1_det_not_nec2",
+             "nec1_not_det", "nec2_det_not_nec1")
+    for name in names:
+        blob = (ROOT / "tests" / "data" / f"report_{name}.json").read_bytes()
+        code = EXIT_FOR_VERDICT[json.loads(blob)["overall"]["verdict"]]
+        h.update(blob + f"exit {code}\n".encode())
+    assert lines[0] == f"shipped 5 {h.hexdigest()}"
+    assert lines[1].startswith("seed 1 128 ") and len(lines) == 2
