@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 from typing import NoReturn
@@ -198,6 +199,9 @@ def _simulate_dual_witness(args, system, start) -> int:
         return _write_csv(traj.to_csv, args.out)
     worst = dual_kernel_residual(system, wit.F, y0, args.T, args.paths,
                                  args.seed, args.dt, start_mode=start)
+    if not math.isfinite(worst):
+        _fail("the dual state left the finite range, so no kernel residual "
+              "can be certified; shorten --T")
     return _write_summary("simulate", system, args.out, {
         "policy": "feedback-dual", "T": args.T, "paths": args.paths,
         "seed": args.seed, "dt": args.dt, "witness_dim": wit.v_inf.dim,

@@ -5,11 +5,13 @@ Every trajectory draws from its own counter-based stream keyed by
 seed.  Per-trajectory results are reduced in fixed order (numpy pairwise
 summation), making aggregates bit-identical across runs with one seed.
 
-``estimate_terminal`` propagates its paths in chunks of ``CHUNK`` through
-``pdmp.simulate_forward_batch``, re-keying one generator per chunk to each
-path's stream.  Chunking never changes the sample set: every terminal
-state is bit-identical to the per-path ``sample_mode_path`` plus
-``simulate_forward`` loop, whatever the chunk size.
+``estimate_terminal`` and ``dual_kernel_residual`` propagate their paths
+in chunks of ``CHUNK``, re-keying one generator per chunk to each path's
+stream: the first through ``pdmp.simulate_forward_batch``, the second
+through ``pdmp.dual_residual_batch``.  Chunking never changes the sample
+set: every terminal state is bit-identical to the per-path
+``sample_mode_path`` plus ``simulate_forward`` loop, and every dual state
+to the recorded ``simulate_dual`` one, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -24,17 +26,16 @@ import numpy as np
 from .model import SwitchSystem
 from .pdmp import (
     FeedbackDualControl,
+    dual_residual_batch,
     sample_jump_chains,
-    sample_mode_path,
-    simulate_dual,
     simulate_forward_batch,
 )
 from .synth import null_bound, piecewise_null_policy
 
 
-#: Paths that ``estimate_terminal`` propagates together.  Large enough to
-#: amortize the per-segment numpy calls, small enough to keep the stacked
-#: matrices a few hundred kilobytes.
+#: Paths that ``estimate_terminal`` and ``dual_path_maxima`` propagate
+#: together.  Large enough to amortize the per-segment numpy calls, small
+#: enough to keep the stacked matrices a few hundred kilobytes.
 CHUNK = 512
 
 
@@ -65,6 +66,15 @@ def path_streams(seed: int, indices):
         yield gen
 
 
+def _chain_chunks(system, start_mode, T, n_paths, seed):
+    """``(lo, hi, chains)`` for paths ``lo`` to ``hi - 1``, ``CHUNK`` at a
+    time, each path's chain drawn from its stream ``(seed, i)``."""
+    for lo in range(0, n_paths, CHUNK):
+        hi = min(lo + CHUNK, n_paths)
+        yield lo, hi, sample_jump_chains(system, start_mode, T,
+                                         path_streams(seed, range(lo, hi)))
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Sample mean with its standard error and the reproducibility inputs."""
@@ -91,10 +101,7 @@ def estimate_terminal(system: SwitchSystem, x0, policy, T: float,
     """
     x0 = np.asarray(x0, dtype=float)
     values = np.empty(n_samples)
-    for lo in range(0, n_samples, CHUNK):
-        hi = min(lo + CHUNK, n_samples)
-        chains = sample_jump_chains(system, start_mode, T,
-                                    path_streams(seed, range(lo, hi)))
+    for lo, hi, chains in _chain_chunks(system, start_mode, T, n_samples, seed):
         X = simulate_forward_batch(system, x0, policy, chains, dt)
         for i, xT in enumerate(X, start=lo):
             values[i] = func(xT)
@@ -191,17 +198,28 @@ def null_bound_check(system: SwitchSystem, x0, T: float,
     return NullBoundReport(tuple(checks), commuting, monotone_ok)
 
 
+def dual_path_maxima(system: SwitchSystem, F, y0, T: float, n_paths: int,
+                     seed: int, dt: float, start_mode: int = 0) -> np.ndarray:
+    """Per path, the largest |B0(start)* Y_t| over the grid times under the
+    witness feedback ``F``; non-finite for a path whose dual state is.
+
+    Path ``i`` follows the stream ``(seed, i)``; the paths run in chunks of
+    ``CHUNK`` through ``pdmp.dual_residual_batch``.
+    """
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    ctrl = FeedbackDualControl(F)
+    maxima = np.empty(n_paths)
+    for lo, hi, chains in _chain_chunks(system, start_mode, T, n_paths, seed):
+        maxima[lo:hi] = dual_residual_batch(system, y0, ctrl, chains, dt)
+    return maxima
+
+
 def dual_kernel_residual(system: SwitchSystem, F, y0, T: float,
                          n_paths: int, seed: int, dt: float,
                          start_mode: int = 0) -> float:
     """Largest |B0(start)* Y_t| over paths and grid times under the witness
-    feedback; small values exhibit a kernel-confined dual family."""
-    bstar = system.modes[start_mode].B0.T
-    ctrl = FeedbackDualControl(F)
-    worst = 0.0
-    for rng in path_streams(seed, range(n_paths)):
-        path = sample_mode_path(system, start_mode, T, rng)
-        traj = simulate_dual(system, y0, ctrl, path, dt)
-        vals = np.linalg.norm(traj.states @ bstar.T, axis=1)
-        worst = max(worst, float(vals.max()))
-    return worst
+    feedback; small values exhibit a kernel-confined dual family.  NaN or
+    inf when a dual state leaves the finite range."""
+    return float(np.max(dual_path_maxima(system, F, y0, T, n_paths, seed, dt,
+                                         start_mode)))

@@ -18,13 +18,19 @@ segment of k steps is filled in one block by repeated squaring of the
 one-step matrix (about log2(k) matrix products); an unrecorded one applies
 its k-th power.
 
-``simulate_forward_batch`` gives the terminal states of a whole batch of
-jump chains (``sample_jump_chains``) at once.  It walks the segment index
-across the batch and advances each mode's paths with stacked one-step
-matrices, stacked powers and stacked matrix-vector products that repeat
-the per-path arithmetic of ``simulate_forward`` product for product, so a
-path's terminal state is bit-identical to the per-path one whatever batch
-it is propagated in: batching never changes the sample set.
+Two batched propagators serve a whole batch of jump chains
+(``sample_jump_chains``) at once.  Both walk the segment index across the
+batch, group the paths by mode and jump each group with one stacked
+product per target mode.  ``simulate_forward_batch`` gives the terminal
+states, advancing each group with stacked one-step matrices, powers and
+matrix-vector products.  ``dual_residual_batch`` gives each path's
+largest ``|B0* y|`` over the grid ``simulate_dual`` records: it fills the
+grids of a group by the recorded doubling, a sub-batch of at most
+``GRID_FLOATS`` floats at a time, and folds each block into a running
+maximum instead of recording it.  Both repeat the per-path arithmetic
+product for product, so every state is bit-identical to the per-path one
+whatever batch it is propagated in: batching never changes the sample
+set.
 """
 
 from __future__ import annotations
@@ -307,6 +313,13 @@ def _matrix_powers(P: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _batch_steps(G: np.ndarray, span: np.ndarray, dt):
+    """Step counts and one-step matrices of segments of lengths ``span``
+    (all positive), each as ``_advance_linear`` takes them."""
+    k = np.maximum(1, np.ceil(span / dt - 1e-12)).astype(np.int64)
+    return k, _taylor4(G, span / k)
+
+
 def _advance_batch(X: np.ndarray, G: np.ndarray, length: np.ndarray, dt):
     """Row ``p`` of ``X`` advanced by ``x' = G x`` (``G`` shared or stacked)
     over ``length[p]``, as ``_advance_linear`` advances it unrecorded; rows
@@ -314,9 +327,7 @@ def _advance_batch(X: np.ndarray, G: np.ndarray, length: np.ndarray, dt):
     live = np.flatnonzero(length > 0.0)
     if live.size == 0:
         return X
-    span = length[live]
-    k = np.maximum(1, np.ceil(span / dt - 1e-12)).astype(np.int64)
-    P = _taylor4(G if G.ndim == 2 else G[live], span / k)
+    k, P = _batch_steps(G if G.ndim == 2 else G[live], length[live], dt)
     out = X.copy()
     out[live] = matvec(_matrix_powers(P, k), X[live])
     return out
@@ -447,43 +458,65 @@ def _forward_segment(x, seg: ForwardSegment, drift, t0, length, dt, rec,
     return x
 
 
-def simulate_forward_batch(system: SwitchSystem, x0, policy,
-                           chains: ChainBatch, dt: float) -> np.ndarray:
-    """Terminal states, one row per path of ``chains``, each bit-identical
-    to ``simulate_forward(..., record=False)`` along that path.
+def _present(values: np.ndarray) -> list[int]:
+    """The distinct non-negative entries of ``values``, ascending.  Counted
+    with ``bincount``: the first ``np.unique`` call of a process adds about
+    1 MB of resident memory."""
+    return np.flatnonzero(np.bincount(values[values >= 0])).tolist()
 
-    Walks the segment index across the batch.  At each index the paths are
-    grouped by mode: ``policy.segment`` sees the group's entry states and
-    input-growth factors stacked, one stacked flow advances the group, and
-    one stacked jump per target mode moves it.
+
+def _walk_chains(chains: ChainBatch, X, advance, jumps):
+    """Walk the segment index across the batch ``chains`` and return ``X``.
+
+    At each index the paths are grouped by mode.  A group's rows of ``X``
+    become ``advance(seg_index, mode, idx, X[idx], length)`` (``idx`` the
+    group's paths, ``length`` their segment lengths); then one stacked
+    ``x + M x`` per target mode jumps them, with ``M = jumps[(mode,
+    target)]`` (no entry: the state stays).
     """
-    check_positive("dt", dt)
-    n = system.n
     n_paths, width = chains.modes.shape
-    X = np.repeat(np.array(x0, dtype=float).reshape(1, n), n_paths, axis=0)
-    b0_init = system.modes[int(chains.modes[0, 0])].B0
-    beta_accum = np.zeros(n_paths)
-    drifts: dict[int, np.ndarray] = {}
     for seg_index in range(width):
         modes = chains.modes[:, seg_index]
         nxt = (chains.modes[:, seg_index + 1] if seg_index + 1 < width
                else np.full(n_paths, -1))
         length = chains.bounds[:, seg_index + 1] - chains.bounds[:, seg_index]
-        for mode in np.unique(modes[modes >= 0]).tolist():
+        for mode in _present(modes):
             idx = np.flatnonzero(modes == mode)
-            beta_factor = np.array([math.exp(v) for v in beta_accum[idx].tolist()])
-            seg = policy.segment(system, seg_index, mode, X[idx], beta_factor,
-                                 b0_init)
-            if mode not in drifts:
-                drifts[mode] = effective_drift(system, mode)
-            X[idx] = _forward_segment_batch(X[idx], seg, drifts[mode],
-                                            length[idx], dt, n)
+            X[idx] = advance(seg_index, mode, idx, X[idx], length[idx])
             targets = nxt[idx]
-            for theta in np.unique(targets[targets >= 0]).tolist():
-                j = idx[targets == theta]
-                X[j] = X[j] + matvec(system.C[(mode, theta)], X[j])
-            beta_accum[idx] += system.beta_rate(mode) * length[idx]
+            for theta in _present(targets):
+                M = jumps.get((mode, theta))
+                if M is not None:
+                    j = idx[targets == theta]
+                    X[j] = X[j] + matvec(M, X[j])
     return X
+
+
+def simulate_forward_batch(system: SwitchSystem, x0, policy,
+                           chains: ChainBatch, dt: float) -> np.ndarray:
+    """Terminal states, one row per path of ``chains``, each bit-identical
+    to ``simulate_forward(..., record=False)`` along that path.
+
+    ``policy.segment`` sees each mode group's entry states and input-growth
+    factors stacked, and one stacked flow advances the group.
+    """
+    check_positive("dt", dt)
+    n = system.n
+    n_paths = chains.modes.shape[0]
+    X = np.repeat(np.array(x0, dtype=float).reshape(1, n), n_paths, axis=0)
+    b0_init = system.modes[int(chains.modes[0, 0])].B0
+    beta_accum = np.zeros(n_paths)
+    drifts: dict[int, np.ndarray] = {}
+
+    def advance(seg_index, mode, idx, Xg, length):
+        beta_factor = np.array([math.exp(v) for v in beta_accum[idx].tolist()])
+        seg = policy.segment(system, seg_index, mode, Xg, beta_factor, b0_init)
+        if mode not in drifts:
+            drifts[mode] = effective_drift(system, mode)
+        beta_accum[idx] += system.beta_rate(mode) * length
+        return _forward_segment_batch(Xg, seg, drifts[mode], length, dt, n)
+
+    return _walk_chains(chains, X, advance, system.C)
 
 
 def _forward_segment_batch(X, seg: ForwardSegment, drift, length, dt, n):
@@ -574,3 +607,120 @@ def simulate_dual(system: SwitchSystem, y0, control, path: ModePath,
             y = y + control.jump_value(system, mode, nxt, y)
             rec.add(t1, nxt, y, SIDE_POST)
     return rec.build(system.mode_ids)
+
+
+#: Floats of recorded grid (paths x steps x n) that ``dual_residual_batch``
+#: holds at once; a path whose one segment needs more is held alone.
+GRID_FLOATS = 2**14
+
+
+def _kernel_sq(Y: np.ndarray, B0: np.ndarray) -> np.ndarray:
+    """``|B0* y|^2`` for every vector ``y`` along the last axis of ``Y``.
+
+    ``B0* y`` is summed elementwise in index order, so a value never
+    depends on where ``y`` sits in ``Y`` (a BLAS product's rounding does).
+    A non-finite entry of ``y`` makes every entry of ``B0* y`` non-finite
+    (``inf * 0`` is NaN), so its value is non-finite too.
+    """
+    Z = Y[..., 0, None] * B0[0]
+    for i in range(1, B0.shape[0]):
+        Z += Y[..., i, None] * B0[i]
+    Z *= Z
+    return Z.sum(axis=-1)
+
+
+def dual_residual_batch(system: SwitchSystem, y0, control, chains: ChainBatch,
+                        dt: float) -> np.ndarray:
+    """Per path of ``chains``, the largest ``|B0* y|`` (``B0`` of the start
+    mode) over the states ``simulate_dual`` records along that path;
+    non-finite when any of them is.
+
+    The paths advance as ``simulate_forward_batch``'s do, each mode group
+    by one stacked closed-loop flow, in product-for-product the arithmetic
+    of ``simulate_dual``: every state is bit-identical to the recorded one.
+    Nothing is recorded; each block of grid states is folded into a
+    running per-path maximum.  Overflow shows as a non-finite maximum, so
+    numpy's overflow and invalid-value warnings are silenced here.
+    """
+    check_positive("dt", dt)
+    n = system.n
+    n_paths = chains.modes.shape[0]
+    Y = np.repeat(np.array(y0, dtype=float).reshape(1, n), n_paths, axis=0)
+    B0 = system.modes[int(chains.modes[0, 0])].B0
+    peak_sq = np.zeros(n_paths)
+
+    def advance(seg_index, mode, idx, Yg, length):
+        # the entry states are the start and the post-jump states
+        peak_sq[idx] = np.maximum(peak_sq[idx], _kernel_sq(Yg, B0))
+        Yg, seg_peak = _dual_flow_batch(Yg, control.segment(system, mode),
+                                        length, dt, B0)
+        peak_sq[idx] = np.maximum(peak_sq[idx], seg_peak)
+        return Yg
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _walk_chains(chains, Y, advance, control.F)
+    # sqrt is monotone, so this is the largest of the norms themselves
+    return np.sqrt(peak_sq)
+
+
+def _dual_flow_batch(Y, G, length, dt, B0):
+    """End states of ``y' = G y`` over ``length[p]`` from row ``p`` of
+    ``Y``, as ``_advance_linear`` records them, and the largest
+    ``_kernel_sq`` over each row's grid states; rows with ``length <= 0``
+    stay, with peak 0.
+
+    The live rows run in sub-batches of rising step count holding at most
+    ``GRID_FLOATS`` grid floats.  Each fills its grid by ``_advance_linear``'s
+    doubling; rows with fewer steps than the sub-batch's longest carry
+    unused steps past their end, which are masked out.
+    """
+    out = Y.copy()
+    peak = np.zeros(len(Y))
+    live = np.flatnonzero(length > 0.0)
+    if live.size == 0:
+        return out, peak
+    k, P = _batch_steps(G, length[live], dt)
+    order = np.argsort(k, kind="stable")
+    n = Y.shape[1]
+    budget = GRID_FLOATS // n
+    lo = 0
+    while lo < order.size:
+        window = order[lo:lo + max(1, budget // int(k[order[lo]]))]
+        fits = np.arange(1, window.size + 1) * k[window] <= budget
+        sub = window[:max(1, int(np.count_nonzero(fits)))]
+        lo += sub.size
+        rows = _doubling_grid(P[sub], Y[live[sub]], k[sub])
+        sq = _kernel_sq(rows, B0)
+        np.copyto(sq, 0.0, where=np.arange(rows.shape[1]) >= k[sub, None])
+        peak[live[sub]] = sq.max(axis=1)
+        out[live[sub]] = rows[np.arange(sub.size), k[sub] - 1]
+    return out, peak
+
+
+def _doubling_grid(P, Y, k):
+    """Rows ``P[p]^i Y[p]`` for i = 1..max(k) along axis 1, filled as
+    ``_advance_linear`` fills one path's: ``rows[s:2s] = rows[:s] @ (P^T)^s``
+    with ``P^T`` a transposed view (a contiguous copy would change how BLAS
+    rounds), then squared.
+
+    numpy computes a one-row product as a vector-matrix product, which
+    BLAS rounds differently from a matrix product; so in a round where
+    row ``p`` has one step left (k = s + 1) but others have more, that
+    row's last step is taken again as its own one-row product.
+    """
+    kmax = int(k.max())
+    rows = np.empty((len(P), kmax, P.shape[-1]))
+    rows[:, 0] = matvec(P, Y)
+    step = np.swapaxes(P, 1, 2)
+    done = 1
+    while done < kmax:
+        more = min(done, kmax - done)
+        np.matmul(rows[:, :more], step, out=rows[:, done:done + more])
+        if more > 1:
+            last = k == done + 1
+            if last.any():
+                rows[last, done:done + 1] = rows[last, :1] @ step[last]
+        done += more
+        if done < kmax:
+            step = step @ step
+    return rows

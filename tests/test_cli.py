@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,22 @@ def test_simulate_feedback_dual_single_path(spec_dir, capsys):
 def test_simulate_feedback_dual_refuses_trivial_witness(spec_dir):
     assert main(["simulate", str(spec_dir / "nec2-det-not-nec1.json"),
                  "--policy", "feedback-dual", "--paths", "5"]) == 2
+
+
+def test_simulate_feedback_dual_refuses_non_finite_residual(spec_dir, capsys):
+    # off the witness the dual grows; by T = 400 every path overflows, and
+    # the run used to certify max_kernel_residual 0.0
+    argv = ["simulate", str(spec_dir / "nec1-det-not-nec2.json"), "--policy",
+            "feedback-dual", "--y0", "0.6,0.8", "--dt", "1e-1", "--paths", "5"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--T", "400"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(argv + ["--T", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_kernel_residual"] == 0.6
 
 
 # ------------------------------------------------------------------ riccati
